@@ -17,10 +17,11 @@
 //  * The calling thread participates: one block always runs inline, so a
 //    one-worker pool (or an empty queue slot) never deadlocks a caller.
 //  * Nested use is safe and serial: when the caller is already a pool
-//    worker (ThreadPool::current_worker() != npos) — an engine batch job
-//    or a MuffinSearch episode evaluating a kernel — the whole range runs
-//    inline on that worker instead of re-entering the pool, which would
-//    risk worker-starvation deadlock.
+//    worker — an engine backlog job or a MuffinSearch episode evaluating
+//    a kernel — or holds a ThreadPool::SerialScope — the engine's
+//    dispatcher thread — the whole range runs inline on that thread
+//    instead of re-entering the pool, which would risk worker-starvation
+//    deadlock (and, for the dispatcher, fan a one-batch kernel out).
 //  * Exceptions from body propagate: the first block exception is
 //    rethrown to the caller after all blocks finished (no detached work
 //    left touching caller state).
@@ -57,16 +58,16 @@ void parallel_for_impl(std::size_t n, std::size_t grain,
 
 /// Run body(begin, end) over a partition of [0, n) as described above.
 /// `grain` is the minimum block size (0 is treated as 1). The serial
-/// fallbacks (nested-in-worker, single-worker pool, range below two
-/// grains) are decided inline before any allocation, so kernels called
-/// from pool workers — every engine batch and search episode — pay two
-/// thread-local/static reads and no std::function or partition vector.
+/// fallbacks (serial context, single-worker pool, range below two grains)
+/// are decided inline before any allocation, so kernels called from pool
+/// workers or the engine dispatcher — every engine batch and search
+/// episode — pay a few thread-local/static reads and no std::function or
+/// partition vector.
 template <typename Body>
 void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
   if (n == 0) return;
   const std::size_t g = grain == 0 ? 1 : grain;
-  if (n / g < 2 || global_pool_size() <= 1 ||
-      ThreadPool::current_worker() != ThreadPool::npos) {
+  if (n / g < 2 || global_pool_size() <= 1 || ThreadPool::serial_context()) {
     body(std::size_t{0}, n);
     return;
   }

@@ -9,6 +9,7 @@ namespace muffin::common {
 
 namespace {
 thread_local std::size_t tls_worker_index = ThreadPool::npos;
+thread_local std::size_t tls_serial_scopes = 0;
 
 /// Process-wide pool accounting: tasks executed and time workers spent
 /// parked waiting for work. One registry entry set shared by every pool
@@ -45,6 +46,14 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::current_worker() { return tls_worker_index; }
+
+bool ThreadPool::serial_context() {
+  return tls_worker_index != npos || tls_serial_scopes != 0;
+}
+
+ThreadPool::SerialScope::SerialScope() { ++tls_serial_scopes; }
+
+ThreadPool::SerialScope::~SerialScope() { --tls_serial_scopes; }
 
 std::size_t ThreadPool::pending() const {
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -4,12 +4,11 @@
 // queue. Jobs are submitted as callables and their results (or exceptions)
 // are delivered through std::future, so failures inside a worker propagate
 // to whoever awaits the job instead of crashing the process. The pool is
-// the shared threading substrate of the codebase: the serving engine runs
-// micro-batches on it, MuffinSearch evaluates controller batches on it,
+// the shared threading substrate of the codebase: the serving engine drains
+// batch backlogs on it, MuffinSearch evaluates controller batches on it,
 // and parallel_for (common/parallel_for.h) splits kernel row-blocks over
 // it. It lives in common (not serve) so the tensor layer can partition
-// GEMMs without depending on the serving runtime; serve/thread_pool.h
-// re-exports it as serve::ThreadPool.
+// GEMMs without depending on the serving runtime.
 //
 // Workers are numbered 0..size()-1; current_worker() returns the index of
 // the pool worker executing the current job (or npos outside a worker).
@@ -17,6 +16,9 @@
 // muffin-head clones — index it with current_worker(). The index is
 // per-thread, not per-pool: a worker of any pool reports its index, which
 // is also how parallel_for detects nested use and degrades to serial.
+// A thread that does pool-sized work off the pool (the serving engine's
+// dispatcher scores batches itself) opts into the same serial behaviour
+// with a ThreadPool::SerialScope.
 #pragma once
 
 #include <condition_variable>
@@ -51,6 +53,22 @@ class ThreadPool {
   /// from a thread that is not one of this pool's workers.
   [[nodiscard]] static std::size_t current_worker();
 
+  /// Whether parallel work issued from the calling thread must run
+  /// inline: true on a pool worker (re-entering the pool risks
+  /// worker-starvation deadlock) and inside a SerialScope.
+  [[nodiscard]] static bool serial_context();
+
+  /// While alive, marks the constructing thread as a serial context:
+  /// parallel_for and FusedModel::score_batch run inline on it, exactly
+  /// as they do inside a pool job. Scopes nest.
+  class SerialScope {
+   public:
+    SerialScope();
+    ~SerialScope();
+    SerialScope(const SerialScope&) = delete;
+    SerialScope& operator=(const SerialScope&) = delete;
+  };
+
   /// Enqueue a callable; the returned future yields its result or rethrows
   /// the exception it raised.
   template <typename F>
@@ -78,3 +96,7 @@ class ThreadPool {
 };
 
 }  // namespace muffin::common
+
+namespace muffin {
+using common::ThreadPool;
+}  // namespace muffin

@@ -75,13 +75,13 @@ tensor::Matrix FusedModel::score_batch(
   // pool: each block runs the full gather + row-wise fuse on its slice.
   // Every output row depends only on its own record, so the partitioned
   // result is bit-identical, row for row, to the serial path (and to
-  // per-record scores()). Below the threshold — and inside pool workers,
-  // where parallel_for degrades to serial — this is exactly the PR 3
-  // serial path with no extra copy.
+  // per-record scores()). Below the threshold — and in a serial context
+  // (pool workers, the engine dispatcher) — this is the plain serial
+  // path with no extra copy.
   constexpr std::size_t kParallelRowThreshold = 256;
   if (records.size() >= kParallelRowThreshold &&
       common::global_pool_size() > 1 &&
-      common::ThreadPool::current_worker() == common::ThreadPool::npos) {
+      !common::ThreadPool::serial_context()) {
     tensor::Matrix out(records.size(), num_classes_);
     parallel_for(records.size(), /*grain=*/128,
                  [&](std::size_t begin, std::size_t end) {

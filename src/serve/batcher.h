@@ -7,9 +7,21 @@
 // amortize per-batch work, the deadline bounds the latency a lone request
 // can pay waiting for company.
 //
+// With max_delay = 0 there is no hold at all: a consumer takes whatever
+// is queued the moment it asks, so batch size grows with load by itself
+// (items arriving while the consumer scores form the next batch).
+//
 // The queue is thread-safe for any number of producers and consumers;
 // close() wakes all consumers, which then drain remaining items and
 // finally observe the empty batch that signals termination.
+//
+// Backlog helpers: besides the blocking consumers, a bounded number of
+// helpers may drain full batches (claim_helper / next_full_batch). A
+// helper never waits and never takes a partial batch — it retires, under
+// the queue lock, the moment less than max_batch items are queued — so
+// partial batches stay with the blocking consumer and a helper can run
+// as a short job on a shared pool. wait_helpers() blocks until every
+// claimed helper has retired.
 #pragma once
 
 #include <chrono>
@@ -113,6 +125,40 @@ class Batcher {
     }
   }
 
+  /// Claim a backlog helper when at least one full batch is queued and
+  /// fewer than `cap` helpers are active. A claimed helper must either
+  /// run next_full_batch() until it returns empty, or — if it never
+  /// starts — be handed back with release_helper().
+  [[nodiscard]] bool claim_helper(std::size_t cap) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (helpers_ >= cap || queue_.size() < config_.max_batch) return false;
+    ++helpers_;
+    return true;
+  }
+
+  /// A helper's next batch: a full max_batch, or — when less than that is
+  /// queued — the empty batch that retires the helper. Never blocks. After
+  /// the retiring call the helper must not touch the batcher again: a
+  /// wait_helpers() caller may destroy it as soon as it returns.
+  [[nodiscard]] std::vector<T> next_full_batch() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (queue_.size() >= config_.max_batch) return pop_locked(size_flushes_);
+    retire_helper_locked();
+    return {};
+  }
+
+  /// Hand back a claimed helper that never ran.
+  void release_helper() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    retire_helper_locked();
+  }
+
+  /// Block until every claimed helper has retired.
+  void wait_helpers() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    helpers_idle_.wait(lock, [this]() { return helpers_ == 0; });
+  }
+
   /// Stop accepting items; consumers drain the queue then see empty batches.
   void close() {
     {
@@ -165,6 +211,14 @@ class Batcher {
     }
   }
 
+  void retire_helper_locked() {
+    --helpers_;
+    // Notify under the lock: the waiter may destroy this batcher as soon
+    // as it observes zero, so an unlocked notify could touch a destroyed
+    // condition variable.
+    if (helpers_ == 0) helpers_idle_.notify_all();
+  }
+
   void publish_depth_locked() {
     if (depth_ != nullptr) {
       depth_->set(static_cast<std::int64_t>(queue_.size()));
@@ -174,8 +228,10 @@ class Batcher {
   BatcherConfig config_;
   mutable std::mutex mutex_;
   std::condition_variable ready_;
+  std::condition_variable helpers_idle_;
   std::deque<std::pair<T, Clock::time_point>> queue_;
   bool closed_ = false;
+  std::size_t helpers_ = 0;  ///< claimed, not yet retired
   obs::Counter* size_flushes_ = nullptr;
   obs::Counter* deadline_flushes_ = nullptr;
   obs::Counter* drain_flushes_ = nullptr;

@@ -1,10 +1,13 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/parallel_for.h"
 #include "data/serialize.h"
 #include "obs/metrics.h"
@@ -54,6 +57,13 @@ struct EngineMetrics {
   }
 };
 
+/// `n` default-initialized elements (indeterminate for trivial types,
+/// so no page is touched), or no allocation at all when `n` is 0.
+template <typename T>
+std::unique_ptr<T[]> uninitialized_array(std::size_t n) {
+  return n == 0 ? nullptr : std::make_unique_for_overwrite<T[]>(n);
+}
+
 obs::Gauge& memo_bytes_gauge() {
   static obs::Gauge& gauge =
       obs::registry().gauge("serve.result_memo_bytes");
@@ -66,23 +76,25 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
                                  EngineConfig config)
     : registry_(std::move(model), config.initial_model_version),
       config_(config),
-      num_classes_(0),
+      num_classes_(registry_.current()->model->num_classes()),
       pool_(common::global_pool()),
       batcher_({config.max_batch, config.max_delay, config.max_queue,
                 "engine.batcher"}),
-      memo_mode_(tensor::active_quant_mode()) {
+      memo_(config.result_cache_capacity, num_classes_,
+            tensor::active_quant_mode()) {
   MUFFIN_REQUIRE(config_.workers > 0, "engine needs at least one worker");
   const std::shared_ptr<const ModelSnapshot> snapshot = registry_.current();
-  num_classes_ = snapshot->model->num_classes();
-  // Head clones keep each worker's weights hot in its own cache
-  // hierarchy. Batches can land on any worker of the process-wide pool,
-  // but the clone count is budgeted by config.workers (not the host
-  // width) so a many-shard router on a wide machine does not multiply
-  // head memory by hardware_concurrency; workers map onto clones by
-  // modulo, and sharing a clone is safe because inference forwards are
-  // const and cache-free. Slots track the version their clone came from
-  // so a hot-swap re-clones lazily (head_for).
+  // Head clones keep each scoring thread's weights hot in its own cache
+  // hierarchy. The clone count is budgeted by config.workers (not the
+  // host width) so a many-shard router on a wide machine does not
+  // multiply head memory by hardware_concurrency; the same budget caps
+  // the threads scoring at once (the dispatcher plus backlog helpers).
+  // Threads map onto clones by modulo, and sharing a clone is safe
+  // because inference forwards are const and cache-free. Slots track the
+  // version their clone came from so a hot-swap re-clones lazily
+  // (head_for).
   const std::size_t clones = std::min(pool_.size(), config_.workers);
+  max_helpers_ = clones - 1;
   head_slots_.reserve(clones);
   for (std::size_t w = 0; w < clones; ++w) {
     auto slot = std::make_unique<HeadSlot>();
@@ -95,12 +107,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
   dispatcher_ = std::thread([this]() { dispatch_loop(); });
 }
 
-InferenceEngine::~InferenceEngine() {
-  shutdown();
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  memo_bytes_gauge().sub(static_cast<std::int64_t>(memo_bytes_));
-  memo_bytes_ = 0;
-}
+InferenceEngine::~InferenceEngine() { shutdown(); }
 
 std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
   MUFFIN_REQUIRE(!stopped_.load(), "cannot submit to a stopped engine");
@@ -215,8 +222,7 @@ void InferenceEngine::shutdown() {
   if (stopped_.exchange(true)) return;
   batcher_.close();
   if (dispatcher_.joinable()) dispatcher_.join();
-  std::unique_lock<std::mutex> lock(inflight_mutex_);
-  inflight_done_.wait(lock, [this]() { return inflight_batches_ == 0; });
+  batcher_.wait_helpers();
 }
 
 std::uint64_t InferenceEngine::swap_model(
@@ -275,18 +281,40 @@ EngineCounters InferenceEngine::counters() const {
 }
 
 void InferenceEngine::dispatch_loop() {
+  // The dispatcher scores batches itself: kernels run serially here, as
+  // on a pool worker, instead of fanning one small batch out to the pool.
+  const ThreadPool::SerialScope serial;
   for (;;) {
     std::vector<Request> batch = batcher_.next_batch();
     if (batch.empty()) return;  // closed and drained
-    {
-      const std::lock_guard<std::mutex> lock(inflight_mutex_);
-      ++inflight_batches_;
+    // A full batch still queued behind this one is backlog: let one more
+    // helper drain it on the pool while this thread scores.
+    if (max_helpers_ > 0 && batcher_.claim_helper(max_helpers_)) {
+      try {
+        // The future is intentionally dropped: results and failures
+        // reach callers through the per-request promises.
+        (void)pool_.submit([this]() { drain_backlog(); });
+      } catch (...) {
+        batcher_.release_helper();  // the pool is stopping; score inline
+      }
     }
-    // The future is intentionally dropped: results and failures reach the
-    // caller through the per-request promises, not the job future.
-    (void)pool_.submit([this, b = std::move(batch)]() mutable {
-      process_batch(std::move(b));
-    });
+    try {
+      process_batch(std::move(batch));
+    } catch (...) {
+      // Only a failure before scoring began (an allocation) escapes
+      // process_batch; unwinding broke the batch's promises, which is how
+      // its callers learn of it. The dispatcher lives on for the next.
+    }
+  }
+}
+
+void InferenceEngine::drain_backlog() {
+  for (;;) {
+    std::vector<Request> batch = batcher_.next_full_batch();
+    // Retired under the queue lock: shutdown() may destroy this engine
+    // from here on, so touch nothing after.
+    if (batch.empty()) return;
+    process_batch(std::move(batch));
   }
 }
 
@@ -311,12 +339,7 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       }
     }
     batch = std::move(live);
-    if (batch.empty()) {
-      const std::lock_guard<std::mutex> lock(inflight_mutex_);
-      --inflight_batches_;
-      inflight_done_.notify_all();
-      return;
-    }
+    if (batch.empty()) return;
   }
   const std::size_t n = batch.size();
   metrics.batches.inc();
@@ -339,7 +362,10 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
                     "\"uid\":" + std::to_string(request.record.uid));
     }
   }
+  // Reply vectors are sized here, outside the memo lock: hits unpack
+  // into them, misses overwrite them with their fused rows.
   std::vector<Prediction> results(n);
+  for (Prediction& prediction : results) prediction.scores.resize(num_classes_);
   std::size_t delivered = 0;
   // Epoch pin: this batch scores — and is memoized — entirely on one
   // model snapshot, no matter how many swaps land while it runs. The
@@ -352,18 +378,14 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     // injected delay models a slow scoring pass.
     fail::maybe_fail("serve.engine.score");
 
-    // 1. Serve repeats from the result memo. Lookups are keyed by
-    // (model version, uid): entries written by other versions miss.
+    // 1. Serve repeats from the result memo, one lock for the batch.
+    // Lookups are keyed by (model version, uid): entries written by
+    // other versions miss.
     std::vector<std::size_t> misses;
     misses.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cache_lookup(batch[i].record.uid, pinned->version, results[i])) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        metrics.cache_hits.inc();
-      } else {
-        misses.push_back(i);
-      }
-    }
+    memo_.lookup(batch, pinned->version, results, misses);
+    cache_hits_.fetch_add(n - misses.size(), std::memory_order_relaxed);
+    metrics.cache_hits.inc(n - misses.size());
     metrics.cache_misses.inc(misses.size());
 
     // 2. Body scores for the misses as one record span through the shared
@@ -409,20 +431,21 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
                                   std::memory_order_relaxed);
       metrics.consensus.inc(consensus_rows);
       metrics.head_evaluations.inc(fused.head_rows);
+      // Canonicalize-on-miss: each reply carries the dequantized form of
+      // what the memo stores (a no-op when the memo mode is off), so a
+      // later memo hit for its uid replies bit-identically; predicted is
+      // the argmax of those canonical scores, for hit and miss alike.
+      ScoreRows packed(memo_.mode(), num_classes_, misses.size());
       for (std::size_t k = 0; k < misses.size(); ++k) {
-        const std::size_t i = misses[k];
-        Prediction& prediction = results[i];
+        Prediction& prediction = results[misses[k]];
         const auto row = fused.scores.row(k);
         prediction.scores.assign(row.begin(), row.end());
+        packed.pack(k, prediction.scores);
+        prediction.predicted = tensor::argmax(prediction.scores);
         prediction.consensus = fused.consensus[k];
         prediction.model_version = pinned->version;
-        // Canonicalize-on-miss: the reply carries the dequantized form of
-        // what the memo stores (a no-op when the memo mode is off), so a
-        // later memo hit for this uid replies bit-identically.
-        MemoEntry entry = canonicalize_and_pack(prediction);
-        entry.version = pinned->version;
-        cache_store(batch[i].record.uid, std::move(entry));
       }
+      memo_.store(batch, misses, results, packed, pinned->version);
     }
 
     // 4. Deliver results and account latency.
@@ -449,151 +472,275 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       batch[i].promise.set_exception(std::current_exception());
     }
   }
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    --inflight_batches_;
-    // Notify while holding the mutex: shutdown() destroys this engine as
-    // soon as its wait observes zero in-flight batches, so an unlocked
-    // notify here could land on an already-destroyed condition variable
-    // (caught by TSan as pthread_cond_broadcast vs pthread_cond_destroy).
-    inflight_done_.notify_all();
+}
+
+std::size_t InferenceEngine::cache_entries() const { return memo_.entries(); }
+
+bool InferenceEngine::cache_contains(std::uint64_t uid) const {
+  return memo_.contains(uid);
+}
+
+std::size_t InferenceEngine::memo_bytes() const { return memo_.bytes(); }
+
+// ---------------------------------------------------------------------
+// ScoreRows
+// ---------------------------------------------------------------------
+
+InferenceEngine::ScoreRows::ScoreRows(tensor::QuantMode mode,
+                                      std::size_t cols, std::size_t rows)
+    : mode_(mode), cols_(cols) {
+  switch (mode_) {
+    case tensor::QuantMode::Off:
+      f64_ = uninitialized_array<double>(rows * cols);
+      break;
+    case tensor::QuantMode::Bf16:
+      bf16_ = uninitialized_array<std::uint16_t>(rows * cols);
+      break;
+    case tensor::QuantMode::Int8:
+      i8_ = uninitialized_array<std::int8_t>(rows * cols);
+      scale_ = uninitialized_array<double>(rows);
+      break;
   }
 }
 
-std::size_t InferenceEngine::cache_entries() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_index_.size();
-}
-
-bool InferenceEngine::cache_contains(std::uint64_t uid) const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_index_.find(uid) != cache_index_.end();
-}
-
-std::size_t InferenceEngine::MemoEntry::payload_bytes() const {
-  return f64.size() * sizeof(double) + bf16.size() * sizeof(std::uint16_t) +
-         i8.size() * sizeof(std::int8_t) +
-         (i8.empty() ? 0 : sizeof(double));  // the per-vector int8 scale
-}
-
-InferenceEngine::MemoEntry InferenceEngine::canonicalize_and_pack(
-    Prediction& prediction) const {
-  MemoEntry entry;
-  entry.consensus = prediction.consensus;
-  tensor::Vector& scores = prediction.scores;
-  switch (memo_mode_) {
-    case tensor::QuantMode::Off: {
-      entry.f64.assign(scores.begin(), scores.end());
+void InferenceEngine::ScoreRows::pack(std::size_t row,
+                                      std::span<double> scores) {
+  switch (mode_) {
+    case tensor::QuantMode::Off:
+      std::copy(scores.begin(), scores.end(), f64_.get() + row * cols_);
       break;
-    }
     case tensor::QuantMode::Bf16: {
-      entry.bf16.resize(scores.size());
-      for (std::size_t c = 0; c < scores.size(); ++c) {
-        entry.bf16[c] = tensor::bf16_from_double(scores[c]);
-        scores[c] = tensor::bf16_to_double(entry.bf16[c]);
+      std::uint16_t* q = bf16_.get() + row * cols_;
+      for (std::size_t c = 0; c < cols_; ++c) {
+        q[c] = tensor::bf16_from_double(scores[c]);
+        scores[c] = tensor::bf16_to_double(q[c]);
       }
       break;
     }
     case tensor::QuantMode::Int8: {
       // Quantize exactly once from the float scores: the canonical reply
-      // is q * scale, the same product a memo hit recomputes — nothing is
-      // ever re-quantized, so no idempotence argument is needed.
-      entry.scale = tensor::i8_scale(scores);
-      entry.i8.resize(scores.size());
-      for (std::size_t c = 0; c < scores.size(); ++c) {
-        entry.i8[c] = tensor::i8_from_double(scores[c], entry.scale);
-        scores[c] = tensor::i8_to_double(entry.i8[c], entry.scale);
+      // is q * scale, the same product a memo hit recomputes.
+      const double scale = tensor::i8_scale(scores);
+      scale_[row] = scale;
+      std::int8_t* q = i8_.get() + row * cols_;
+      for (std::size_t c = 0; c < cols_; ++c) {
+        q[c] = tensor::i8_from_double(scores[c], scale);
+        scores[c] = tensor::i8_to_double(q[c], scale);
       }
       break;
     }
   }
-  // Argmax of the canonical scores, so predicted == argmax(scores) holds
-  // for the reply and for every future memo hit alike.
-  prediction.predicted = tensor::argmax(scores);
-  entry.predicted = static_cast<std::uint32_t>(prediction.predicted);
-  return entry;
 }
 
-bool InferenceEngine::cache_lookup(std::uint64_t uid, std::uint64_t version,
-                                   Prediction& out) {
-  if (config_.result_cache_capacity == 0) return false;
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_index_.find(uid);
-  if (it == cache_index_.end()) return false;
-  const MemoEntry& entry = it->second->second;
-  // Version key: an entry scored by a different model version is a miss
-  // (no splice — a stale entry earns no recency), and the rescore that
-  // follows replaces it. This is the stale-score-leak fix: no pre-swap
-  // score can ever be served post-swap.
-  if (entry.version != version) return false;
-  cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
-  out.predicted = entry.predicted;
-  out.consensus = entry.consensus;
-  out.cached = true;
-  out.model_version = entry.version;
-  switch (memo_mode_) {
+void InferenceEngine::ScoreRows::unpack(std::size_t row,
+                                        std::span<double> out) const {
+  switch (mode_) {
     case tensor::QuantMode::Off: {
-      out.scores.assign(entry.f64.begin(), entry.f64.end());
+      const double* v = f64_.get() + row * cols_;
+      std::copy(v, v + cols_, out.begin());
       break;
     }
     case tensor::QuantMode::Bf16: {
-      out.scores.resize(entry.bf16.size());
-      for (std::size_t c = 0; c < entry.bf16.size(); ++c) {
-        out.scores[c] = tensor::bf16_to_double(entry.bf16[c]);
+      const std::uint16_t* q = bf16_.get() + row * cols_;
+      for (std::size_t c = 0; c < cols_; ++c) {
+        out[c] = tensor::bf16_to_double(q[c]);
       }
       break;
     }
     case tensor::QuantMode::Int8: {
-      out.scores.resize(entry.i8.size());
-      for (std::size_t c = 0; c < entry.i8.size(); ++c) {
-        out.scores[c] = tensor::i8_to_double(entry.i8[c], entry.scale);
+      const std::int8_t* q = i8_.get() + row * cols_;
+      for (std::size_t c = 0; c < cols_; ++c) {
+        out[c] = tensor::i8_to_double(q[c], scale_[row]);
       }
       break;
     }
   }
-  return true;
 }
 
-void InferenceEngine::cache_store(std::uint64_t uid, MemoEntry entry) {
-  if (config_.result_cache_capacity == 0) return;
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_index_.find(uid);
-  if (it != cache_index_.end()) {
-    MemoEntry& existing = it->second->second;
-    if (existing.version >= entry.version) {
-      // Another batch raced us to the same record on the same (or a
-      // newer) version; keep the existing entry.
-      cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
-      return;
+void InferenceEngine::ScoreRows::copy_row(std::size_t dst,
+                                          const ScoreRows& src,
+                                          std::size_t row) {
+  switch (mode_) {
+    case tensor::QuantMode::Off:
+      std::copy_n(src.f64_.get() + row * cols_, cols_,
+                  f64_.get() + dst * cols_);
+      break;
+    case tensor::QuantMode::Bf16:
+      std::copy_n(src.bf16_.get() + row * cols_, cols_,
+                  bf16_.get() + dst * cols_);
+      break;
+    case tensor::QuantMode::Int8:
+      std::copy_n(src.i8_.get() + row * cols_, cols_,
+                  i8_.get() + dst * cols_);
+      scale_[dst] = src.scale_[row];
+      break;
+  }
+}
+
+std::size_t InferenceEngine::ScoreRows::row_bytes() const {
+  switch (mode_) {
+    case tensor::QuantMode::Off:
+      return cols_ * sizeof(double);
+    case tensor::QuantMode::Bf16:
+      return cols_ * sizeof(std::uint16_t);
+    case tensor::QuantMode::Int8:
+      return cols_ * sizeof(std::int8_t) + sizeof(double);
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------
+// Memo
+// ---------------------------------------------------------------------
+
+InferenceEngine::Memo::Memo(std::size_t capacity, std::size_t num_classes,
+                            tensor::QuantMode mode)
+    : capacity_(capacity),
+      slots_(uninitialized_array<Slot>(capacity)),
+      scores_(mode, num_classes, capacity) {
+  MUFFIN_REQUIRE(capacity < std::numeric_limits<std::uint32_t>::max() / 2,
+                 "result_cache_capacity too large for the memo index");
+  if (capacity_ == 0) return;
+  index_.assign(std::bit_ceil(2 * capacity_), 0);
+  index_mask_ = index_.size() - 1;
+}
+
+InferenceEngine::Memo::~Memo() {
+  memo_bytes_gauge().sub(
+      static_cast<std::int64_t>(size_ * scores_.row_bytes()));
+}
+
+std::size_t InferenceEngine::Memo::home(std::uint64_t uid) const {
+  return static_cast<std::size_t>(mix64(uid)) & index_mask_;
+}
+
+std::size_t InferenceEngine::Memo::find_locked(std::uint64_t uid) const {
+  for (std::size_t i = home(uid);; i = (i + 1) & index_mask_) {
+    const std::uint32_t entry = index_[i];
+    if (entry == 0) return npos;
+    if (slots_[entry - 1].uid == uid) return entry - 1;
+  }
+}
+
+void InferenceEngine::Memo::index_insert_locked(std::uint64_t uid,
+                                                std::size_t slot) {
+  std::size_t i = home(uid);
+  while (index_[i] != 0) i = (i + 1) & index_mask_;
+  index_[i] = static_cast<std::uint32_t>(slot + 1);
+}
+
+void InferenceEngine::Memo::index_erase_locked(std::uint64_t uid) {
+  std::size_t hole = home(uid);
+  while (slots_[index_[hole] - 1].uid != uid) {
+    hole = (hole + 1) & index_mask_;
+  }
+  // Backward-shift delete: walk the probe run after the hole and move
+  // back every entry whose home does not lie cyclically in (hole, j] —
+  // such an entry probed past the hole, so it must not be cut off from
+  // its home by it. Leaves no tombstones.
+  for (std::size_t j = (hole + 1) & index_mask_; index_[j] != 0;
+       j = (j + 1) & index_mask_) {
+    const std::size_t k = home(slots_[index_[j] - 1].uid);
+    const bool stays = hole <= j ? (hole < k && k <= j) : (hole < k || k <= j);
+    if (stays) continue;
+    index_[hole] = index_[j];
+    hole = j;
+  }
+  index_[hole] = 0;
+}
+
+std::size_t InferenceEngine::Memo::claim_slot_locked() {
+  if (size_ < capacity_) {
+    memo_bytes_gauge().add(static_cast<std::int64_t>(scores_.row_bytes()));
+    return size_++;
+  }
+  // Second chance: a referenced slot loses its bit and is skipped; the
+  // first unreferenced one is the victim. Terminates within one sweep.
+  for (;;) {
+    const std::size_t slot = hand_;
+    hand_ = (hand_ + 1) % capacity_;
+    if (slots_[slot].referenced) {
+      slots_[slot].referenced = false;
+      continue;
     }
-    // Stale entry from a pre-swap version: replace it in place.
-    const std::size_t old_bytes = existing.payload_bytes();
-    const std::size_t new_bytes = entry.payload_bytes();
-    existing = std::move(entry);
-    memo_bytes_ += new_bytes;
-    memo_bytes_ -= old_bytes;
-    memo_bytes_gauge().add(static_cast<std::int64_t>(new_bytes) -
-                           static_cast<std::int64_t>(old_bytes));
-    cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
+    index_erase_locked(slots_[slot].uid);
+    return slot;
+  }
+}
+
+void InferenceEngine::Memo::lookup(const std::vector<Request>& batch,
+                                   std::uint64_t version,
+                                   std::vector<Prediction>& results,
+                                   std::vector<std::size_t>& misses) {
+  if (capacity_ == 0) {
+    for (std::size_t i = 0; i < batch.size(); ++i) misses.push_back(i);
     return;
   }
-  const std::size_t added = entry.payload_bytes();
-  cache_order_.emplace_front(uid, std::move(entry));
-  cache_index_.emplace(uid, cache_order_.begin());
-  memo_bytes_ += added;
-  memo_bytes_gauge().add(static_cast<std::int64_t>(added));
-  while (cache_order_.size() > config_.result_cache_capacity) {
-    const std::size_t evicted = cache_order_.back().second.payload_bytes();
-    memo_bytes_ -= evicted;
-    memo_bytes_gauge().sub(static_cast<std::int64_t>(evicted));
-    cache_index_.erase(cache_order_.back().first);
-    cache_order_.pop_back();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::size_t slot = find_locked(batch[i].record.uid);
+    // Version key: an entry scored by a different model version is a
+    // miss (and earns no reference bit); the rescore replaces it.
+    if (slot == npos || slots_[slot].version != version) {
+      misses.push_back(i);
+      continue;
+    }
+    Slot& entry = slots_[slot];
+    entry.referenced = true;
+    Prediction& out = results[i];
+    out.predicted = entry.predicted;
+    out.consensus = entry.consensus;
+    out.cached = true;
+    out.model_version = entry.version;
+    scores_.unpack(slot, out.scores);
   }
 }
 
-std::size_t InferenceEngine::memo_bytes() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return memo_bytes_;
+void InferenceEngine::Memo::store(const std::vector<Request>& batch,
+                                  std::span<const std::size_t> misses,
+                                  const std::vector<Prediction>& results,
+                                  const ScoreRows& packed,
+                                  std::uint64_t version) {
+  if (capacity_ == 0) return;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t k = 0; k < misses.size(); ++k) {
+    const std::size_t i = misses[k];
+    const std::uint64_t uid = batch[i].record.uid;
+    std::size_t slot = find_locked(uid);
+    if (slot != npos && slots_[slot].version >= version) {
+      // Another batch raced us to the same record on the same (or a
+      // newer) version; keep the existing entry.
+      continue;
+    }
+    if (slot == npos) {
+      slot = claim_slot_locked();
+      slots_[slot].uid = uid;
+      slots_[slot].referenced = false;
+      index_insert_locked(uid, slot);
+    }
+    // else: a stale entry from an older version, replaced in place.
+    Slot& entry = slots_[slot];
+    entry.version = version;
+    entry.predicted = static_cast<std::uint32_t>(results[i].predicted);
+    entry.consensus = results[i].consensus;
+    scores_.copy_row(slot, packed, k);
+  }
+}
+
+std::size_t InferenceEngine::Memo::entries() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return size_;
+}
+
+bool InferenceEngine::Memo::contains(std::uint64_t uid) const {
+  if (capacity_ == 0) return false;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return find_locked(uid) != npos;
+}
+
+std::size_t InferenceEngine::Memo::bytes() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return size_ * scores_.row_bytes();
 }
 
 std::uint64_t reload_head_artifact(InferenceEngine& engine,

@@ -7,7 +7,7 @@
 // consistent hash on the record uid (muffin::HashRing, virtual nodes on
 // a 64-bit ring). Routing by uid is what makes sharding composable with
 // the engine's result memo: a repeated uid always lands on the shard
-// whose LRU already holds its prediction.
+// whose memo already holds its prediction.
 //
 // A replica is a ReplicaBackend (serve/replica.h): in-process
 // (LocalReplica owning an engine) or remote (rpc::RemoteShard speaking

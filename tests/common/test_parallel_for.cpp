@@ -117,6 +117,28 @@ TEST(ParallelFor, NestedCallFromPoolWorkerRunsInline) {
   future.get();
 }
 
+TEST(ParallelFor, SerialScopeRunsInlineOnItsThreadUntilItEnds) {
+  // The engine's dispatcher thread scores batches itself: inside its
+  // SerialScope a kernel split must stay on that thread, as on a worker.
+  EXPECT_FALSE(ThreadPool::serial_context());
+  const std::thread::id caller = std::this_thread::get_id();
+  {
+    const ThreadPool::SerialScope outer;
+    {
+      const ThreadPool::SerialScope inner;  // scopes nest
+    }
+    EXPECT_TRUE(ThreadPool::serial_context());
+    std::size_t calls = 0;
+    parallel_for(512, 1, [&](std::size_t begin, std::size_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(end - begin, 512u);
+      ++calls;
+    });
+    EXPECT_EQ(calls, 1u);
+  }
+  EXPECT_FALSE(ThreadPool::serial_context());
+}
+
 TEST(ParallelFor, NestedCallInsideParallelForRunsInline) {
   std::atomic<std::size_t> inner_total{0};
   parallel_for(64, 1, [&](std::size_t begin, std::size_t end) {

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "common/rng.h"
+#include "nn/activation.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
@@ -100,6 +102,17 @@ struct MlpCase {
   std::vector<std::size_t> hidden;
   Activation activation;
 };
+
+// Prints the case by value (e.g. "h10x6_tanh"). Without it gtest dumps the
+// struct's raw bytes, which include the vector's heap pointers, so the test
+// names changed from one process to the next.
+void PrintTo(const MlpCase& c, std::ostream* os) {
+  *os << 'h';
+  for (std::size_t i = 0; i < c.hidden.size(); ++i) {
+    *os << (i == 0 ? "" : "x") << c.hidden[i];
+  }
+  *os << '_' << to_string(c.activation);
+}
 
 class MlpGradCheck : public ::testing::TestWithParam<MlpCase> {};
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/error.h"
 
@@ -218,6 +219,52 @@ TEST(Batcher, CloseWakesBlockedConsumer) {
   });
   EXPECT_TRUE(batcher.next_batch().empty());
   closer.join();
+}
+
+TEST(Batcher, ZeroDelayReleasesWhateverIsQueued) {
+  // max_delay 0 is the work-conserving mode: a partial batch is released
+  // the moment a consumer asks, with no hold for company.
+  Batcher<int> batcher({8, microseconds(0)});
+  batcher.push(1);
+  batcher.push(2);
+  EXPECT_EQ(batcher.next_batch(), (std::vector<int>{1, 2}));
+}
+
+TEST(Batcher, BacklogHelpersTakeOnlyFullBatchesAndRetire) {
+  Batcher<int> batcher({4, std::chrono::duration_cast<microseconds>(
+                               std::chrono::seconds(30))});
+  batcher.push_many({0, 1, 2});
+  EXPECT_FALSE(batcher.claim_helper(2));  // no full batch queued
+  batcher.push_many({3, 4, 5, 6, 7, 8, 9});
+  ASSERT_TRUE(batcher.claim_helper(2));
+  ASSERT_TRUE(batcher.claim_helper(2));
+  EXPECT_FALSE(batcher.claim_helper(2));  // capped
+  batcher.release_helper();               // one never started
+
+  // The remaining helper drains full batches, then retires on the
+  // partial remainder, which stays queued for the blocking consumer.
+  EXPECT_EQ(batcher.next_full_batch(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(batcher.next_full_batch(), (std::vector<int>{4, 5, 6, 7}));
+  EXPECT_TRUE(batcher.next_full_batch().empty());
+  batcher.wait_helpers();  // returns: every claimed helper retired
+  EXPECT_EQ(batcher.pending(), 2u);
+  batcher.close();
+  EXPECT_EQ(batcher.next_batch(), (std::vector<int>{8, 9}));
+}
+
+TEST(Batcher, WaitHelpersBlocksUntilTheLastHelperRetires) {
+  Batcher<int> batcher({2, microseconds(0)});
+  batcher.push_many({0, 1, 2, 3});
+  ASSERT_TRUE(batcher.claim_helper(1));
+  std::thread helper([&batcher]() {
+    std::this_thread::sleep_for(milliseconds(10));
+    while (!batcher.next_full_batch().empty()) {
+    }
+  });
+  batcher.wait_helpers();
+  // The helper only retires once it finds less than a full batch queued.
+  EXPECT_EQ(batcher.pending(), 0u);
+  helper.join();
 }
 
 }  // namespace

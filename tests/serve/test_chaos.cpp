@@ -35,6 +35,7 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/parallel_for.h"
 #include "obs/metrics.h"
 #include "router_test_access.h"
 #include "serve/engine.h"
@@ -112,6 +113,42 @@ TEST(ChaosEngine, ScoringDelayNeverChangesAnswers) {
   }
   EXPECT_GT(fail::hits("serve.engine.score"), 0u);
   engine.shutdown();
+}
+
+TEST(ChaosEngine, BacklogHelpersDrainFullBatchesBitIdentically) {
+  if (common::global_pool_size() < 2) {
+    GTEST_SKIP() << "a one-worker pool leaves no room for backlog helpers";
+  }
+  constexpr std::size_t kBatch = 8;
+  const std::span<const data::Record> records(
+      chaos_dataset().records().data(), 4 * kBatch);
+  // Expected replies first: training the model may use the pool, and
+  // pool.tasks below must count only the engine's own jobs.
+  std::vector<tensor::Vector> expected;
+  for (const data::Record& record : records) {
+    expected.push_back(expected_scores(record));
+  }
+  InferenceEngine engine(make_fused(), {.workers = 4, .max_batch = kBatch});
+  const std::uint64_t tasks_before = counter_value("pool.tasks");
+  std::vector<std::future<Prediction>> futures;
+  {
+    // Every scoring pass sleeps, so the dispatcher is held on its first
+    // batch while three full batches stay queued behind it: backlog.
+    const fail::ScopedFailpoints guard("serve.engine.score=delay:30ms");
+    futures = engine.submit_batch(records);
+    // Drains: returns only once the dispatcher and every helper are done.
+    engine.shutdown();
+  }
+  EXPECT_GT(counter_value("pool.tasks"), tasks_before);  // a helper ran
+  ASSERT_EQ(futures.size(), records.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready)
+        << "record " << i << " still in flight after shutdown";
+    EXPECT_EQ(futures[i].get().scores, expected[i]) << "record " << i;
+  }
+  // Only full batches existed, so however the dispatcher and helpers
+  // split them, four batches were scored.
+  EXPECT_EQ(engine.counters().batches, 4u);
 }
 
 TEST(ChaosEngine, ScoreErrorFailsWholeBatchThenRecovers) {

@@ -6,8 +6,11 @@
 #include <thread>
 
 #include "common/error.h"
+#include "common/hash.h"
+#include "obs/metrics.h"
 #include "serve_test_util.h"
 #include "tensor/ops.h"
+#include "tensor/quant.h"
 
 namespace muffin::serve {
 namespace {
@@ -209,6 +212,148 @@ TEST(InferenceEngine, CacheIntrospectionTracksMemoContents) {
   (void)small.predict(records[4]);  // evicts the oldest entry: record 0
   EXPECT_FALSE(small.cache_contains(records[0].uid));
   EXPECT_EQ(small.cache_entries(), 4u);
+}
+
+TEST(InferenceEngine, ClockEvictionGivesHitEntriesASecondChance) {
+  const auto fused = make_fused(true);
+  EngineConfig tiny;
+  tiny.result_cache_capacity = 4;
+  tiny.max_batch = 1;
+  InferenceEngine engine(fused, tiny);
+  std::span<const data::Record> records = engine_dataset().records();
+  for (std::size_t i = 0; i < 4; ++i) (void)engine.predict(records[i]);
+  ASSERT_TRUE(engine.predict(records[0]).cached);  // sets record 0's bit
+
+  // The hand passes record 0 (clearing its bit) and evicts record 1, the
+  // first entry nobody asked for again.
+  (void)engine.predict(records[4]);
+  EXPECT_TRUE(engine.cache_contains(records[0].uid));
+  EXPECT_FALSE(engine.cache_contains(records[1].uid));
+  for (std::size_t i = 2; i <= 4; ++i) {
+    EXPECT_TRUE(engine.cache_contains(records[i].uid)) << "record " << i;
+  }
+
+  // A cache_contains probe is not a hit: record 2 was just probed, yet
+  // it is the next victim.
+  (void)engine.predict(records[5]);
+  EXPECT_FALSE(engine.cache_contains(records[2].uid));
+  for (const std::size_t i : {0u, 3u, 4u, 5u}) {
+    EXPECT_TRUE(engine.cache_contains(records[i].uid)) << "record " << i;
+  }
+  EXPECT_EQ(engine.cache_entries(), 4u);
+  EXPECT_EQ(engine.counters().cache_hits, 1u);
+}
+
+TEST(InferenceEngine, MemoIndexFindsEveryEntryAfterHeavyChurn) {
+  // Thousands of CLOCK evictions, each a backward-shift delete from the
+  // half-full uid index: afterwards exactly `capacity` of the records
+  // must be findable, and each found one must answer from the memo.
+  const auto fused = make_fused(true);
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kPopulation = 300;
+  EngineConfig config;
+  config.workers = 1;
+  config.max_batch = 8;
+  config.result_cache_capacity = kCapacity;
+  InferenceEngine engine(fused, config);
+  std::span<const data::Record> records = engine_dataset().records();
+  std::vector<data::Record> traffic;
+  std::uint64_t state = 42;
+  for (std::size_t i = 0; i < 4000; ++i) {
+    // Skewed draws, so hits (reference bits) and misses both occur.
+    const std::uint64_t draw = splitmix64_next(state);
+    const std::size_t r = (draw % 4 == 0) ? draw % 16 : draw % kPopulation;
+    traffic.push_back(records[r]);
+  }
+  const std::vector<Prediction> replies = engine.predict_batch(traffic);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    ASSERT_EQ(replies[i].scores,
+              testutil::canonical_scores(fused->scores(traffic[i])))
+        << "request " << i;
+  }
+  EXPECT_GT(engine.counters().cache_hits, 0u);
+  std::vector<data::Record> memoized;
+  for (std::size_t r = 0; r < kPopulation; ++r) {
+    if (engine.cache_contains(records[r].uid)) memoized.push_back(records[r]);
+  }
+  EXPECT_EQ(memoized.size(), kCapacity);
+  EXPECT_EQ(engine.cache_entries(), kCapacity);
+  for (const Prediction& prediction : engine.predict_batch(memoized)) {
+    EXPECT_TRUE(prediction.cached);
+  }
+}
+
+std::int64_t memo_bytes_gauge() {
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
+  const obs::GaugeSnapshot* gauge = snap.find_gauge("serve.result_memo_bytes");
+  return gauge != nullptr ? gauge->value : 0;
+}
+
+TEST(InferenceEngine, MemoBytesTrackFillEvictionReplaceAndDestruction) {
+  const auto fused = make_fused(true);
+  std::span<const data::Record> records = engine_dataset().records();
+  const std::size_t classes = fused->num_classes();
+  struct Case {
+    tensor::QuantMode mode;
+    std::size_t row_bytes;  // score payload of one memoized reply
+  };
+  const Case cases[] = {
+      {tensor::QuantMode::Off, classes * sizeof(double)},
+      {tensor::QuantMode::Bf16, classes * sizeof(std::uint16_t)},
+      {tensor::QuantMode::Int8, classes + sizeof(double)},  // + scale
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(tensor::quant_mode_name(c.mode));
+    const tensor::ScopedQuantMode quant(c.mode);
+    const std::int64_t before = memo_bytes_gauge();
+    const auto gauge_delta = [&]() {
+      return static_cast<std::size_t>(memo_bytes_gauge() - before);
+    };
+    {
+      EngineConfig config;
+      config.workers = 1;  // one scoring thread: a deterministic fill order
+      config.max_batch = 4;
+      config.result_cache_capacity = 16;
+      InferenceEngine engine(fused, config);
+      ASSERT_EQ(engine.memo_quant_mode(), c.mode);
+      EXPECT_EQ(engine.memo_bytes(), 0u);
+
+      // Fill: every memoized reply adds one row of score payload.
+      (void)engine.predict_batch(records.subspan(0, 10));
+      EXPECT_EQ(engine.memo_bytes(), 10 * c.row_bytes);
+      EXPECT_EQ(gauge_delta(), 10 * c.row_bytes);
+
+      // Eviction at capacity: the footprint stops at capacity rows, and
+      // with no hits CLOCK evicts oldest-first, keeping records 24-39.
+      (void)engine.predict_batch(records.subspan(10, 30));
+      EXPECT_EQ(engine.cache_entries(), 16u);
+      EXPECT_EQ(engine.memo_bytes(), 16 * c.row_bytes);
+      EXPECT_EQ(gauge_delta(), 16 * c.row_bytes);
+      EXPECT_FALSE(engine.cache_contains(records[23].uid));
+
+      // Version replace-in-place: under a new version the memoized uids
+      // miss, and their rescore replaces each entry in its slot.
+      (void)engine.swap_model(fused);
+      const std::vector<Prediction> rescored =
+          engine.predict_batch(records.subspan(24, 16));
+      for (const Prediction& prediction : rescored) {
+        EXPECT_FALSE(prediction.cached);
+        EXPECT_EQ(prediction.model_version, 2u);
+      }
+      EXPECT_EQ(engine.cache_entries(), 16u);
+      EXPECT_EQ(engine.memo_bytes(), 16 * c.row_bytes);
+      EXPECT_EQ(gauge_delta(), 16 * c.row_bytes);
+      const std::vector<Prediction> hits =
+          engine.predict_batch(records.subspan(24, 16));
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_TRUE(hits[i].cached) << "record " << 24 + i;
+        EXPECT_EQ(hits[i].scores, rescored[i].scores) << "record " << 24 + i;
+        EXPECT_EQ(hits[i].predicted, rescored[i].predicted);
+      }
+    }
+    // Destruction hands every byte back to the process gauge.
+    EXPECT_EQ(memo_bytes_gauge(), before);
+  }
 }
 
 TEST(InferenceEngine, TinyCacheEvictsButStaysCorrect) {

@@ -1,4 +1,4 @@
-#include "serve/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
