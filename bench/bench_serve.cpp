@@ -102,7 +102,7 @@ struct RunResult {
   double seconds = 0.0;
   double requests_per_second = 0.0;
   std::vector<std::size_t> predictions;
-  serve::LatencyStats::Snapshot latency;  // engine runs only
+  obs::HistogramSnapshot latency;  // engine runs only
   serve::EngineCounters counters;         // engine runs only
 };
 
@@ -534,9 +534,9 @@ void add_row(TextTable& table, const std::string& name, const RunResult& run,
       std::to_string(static_cast<long long>(run.requests_per_second)),
       format_fixed(run.requests_per_second / baseline_rps, 2) + "x"};
   if (engine_run) {
-    row.push_back(format_fixed(run.latency.p50_us, 0));
-    row.push_back(format_fixed(run.latency.p95_us, 0));
-    row.push_back(format_fixed(run.latency.p99_us, 0));
+    row.push_back(format_fixed(run.latency.quantile(0.50), 0));
+    row.push_back(format_fixed(run.latency.quantile(0.95), 0));
+    row.push_back(format_fixed(run.latency.quantile(0.99), 0));
     row.push_back(std::to_string(run.counters.consensus_short_circuits));
     row.push_back(std::to_string(run.counters.cache_hits));
   } else {
@@ -827,8 +827,8 @@ int main(int argc, char** argv) {
     json.add(key + ".rps", run.requests_per_second);
     json.add(key + ".speedup", run.requests_per_second / baseline_rps);
     if (engine_run) {
-      json.add(key + ".p50_us", run.latency.p50_us);
-      json.add(key + ".p99_us", run.latency.p99_us);
+      json.add(key + ".p50_us", run.latency.quantile(0.50));
+      json.add(key + ".p99_us", run.latency.quantile(0.99));
       json.add(key + ".consensus", run.counters.consensus_short_circuits);
       json.add(key + ".cache_hits", run.counters.cache_hits);
     }

@@ -99,7 +99,6 @@
 #include "serve/router.h"
 #include "serve/rpc/server.h"
 #include "serve/rpc/wire.h"
-#include "serve/stats.h"
 
 using namespace muffin;
 
@@ -551,11 +550,7 @@ int run_stats(const CliOptions& options) {
     return 0;
   }
 
-  // Table: re-hydrate the latency export through a scratch LatencyStats so
-  // percentiles come out of the same merge machinery the router uses.
-  serve::LatencyStats scratch;
-  scratch.merge_export(report.latency);
-  const serve::LatencyStats::Snapshot snap = scratch.snapshot();
+  const obs::HistogramSnapshot& latency = report.latency;
   std::cout << "authoritative stats for " << options.connect << ":\n";
   const auto registry_counter =
       [&report](std::string_view name) -> std::uint64_t {
@@ -580,13 +575,18 @@ int run_stats(const CliOptions& options) {
   table.add_row({"head evaluations",
                  std::to_string(report.counters.head_evaluations)});
   table.add_row({"memo entries", std::to_string(report.cache_entries)});
-  table.add_row({"throughput (req/s)",
-                 format_fixed(snap.requests_per_second, 1)});
-  table.add_row({"mean latency (us)", format_fixed(snap.mean_us, 0)});
-  table.add_row({"p50 latency (us)", format_fixed(snap.p50_us, 0)});
-  table.add_row({"p95 latency (us)", format_fixed(snap.p95_us, 0)});
-  table.add_row({"p99 latency (us)", format_fixed(snap.p99_us, 0)});
-  table.add_row({"max latency (us)", format_fixed(snap.max_us, 0)});
+  table.add_row(
+      {"throughput (req/s)",
+       format_fixed(report.elapsed_seconds > 0.0
+                        ? static_cast<double>(latency.count()) /
+                              report.elapsed_seconds
+                        : 0.0,
+                    1)});
+  table.add_row({"mean latency (us)", format_fixed(latency.mean(), 0)});
+  table.add_row({"p50 latency (us)", format_fixed(latency.quantile(0.50), 0)});
+  table.add_row({"p95 latency (us)", format_fixed(latency.quantile(0.95), 0)});
+  table.add_row({"p99 latency (us)", format_fixed(latency.quantile(0.99), 0)});
+  table.add_row({"max latency (us)", format_fixed(latency.max(), 0)});
   table.print(std::cout);
 
   if (!report.metrics.counters.empty()) {
@@ -602,13 +602,9 @@ int run_stats(const CliOptions& options) {
                         std::to_string(entry.value)});
     }
     for (const obs::HistogramSnapshot& entry : report.metrics.histograms) {
-      registry.add_row(
-          {entry.name + " (histogram)",
-           std::to_string(entry.count) + " obs, mean " +
-               format_fixed(entry.count > 0
-                                ? entry.sum / static_cast<double>(entry.count)
-                                : 0.0,
-                            1)});
+      registry.add_row({entry.name + " (histogram)",
+                        std::to_string(entry.count()) + " obs, mean " +
+                            format_fixed(entry.mean(), 1)});
     }
     registry.print(std::cout);
   }
@@ -739,16 +735,17 @@ int run_serve(const CliOptions& options) {
   ticker.stop();
   engine.shutdown();
 
-  const serve::LatencyStats::Snapshot snap = engine.latency().snapshot();
+  const obs::HistogramSnapshot latency = engine.latency().snapshot();
   const serve::EngineCounters counters = engine.counters();
   TextTable table({"metric", "value"});
   table.add_row({"requests", std::to_string(counters.requests)});
   table.add_row({"throughput (req/s)",
                  std::to_string(static_cast<long long>(
-                     snap.requests_per_second))});
-  table.add_row({"p50 latency (us)", format_fixed(snap.p50_us, 0)});
-  table.add_row({"p95 latency (us)", format_fixed(snap.p95_us, 0)});
-  table.add_row({"p99 latency (us)", format_fixed(snap.p99_us, 0)});
+                     static_cast<double>(latency.count()) /
+                     engine.elapsed_seconds()))});
+  table.add_row({"p50 latency (us)", format_fixed(latency.quantile(0.50), 0)});
+  table.add_row({"p95 latency (us)", format_fixed(latency.quantile(0.95), 0)});
+  table.add_row({"p99 latency (us)", format_fixed(latency.quantile(0.99), 0)});
   table.add_row({"batches", std::to_string(counters.batches)});
   table.add_row({"consensus short-circuits",
                  std::to_string(counters.consensus_short_circuits)});
@@ -808,6 +805,7 @@ int run_route(const CliOptions& options) {
   SplitRng trace_rng(4242);
   StatsTicker ticker;
   ticker.start(options.stats_every_s);
+  const auto start = std::chrono::steady_clock::now();
   std::vector<std::future<serve::Prediction>> futures;
   futures.reserve(options.requests);
   for (std::size_t i = 0; i < options.requests; ++i) {
@@ -815,18 +813,24 @@ int run_route(const CliOptions& options) {
         router.submit(pool_split.record(trace_rng.index(pool_split.size()))));
   }
   for (auto& future : futures) (void)future.get();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   ticker.stop();
 
-  const serve::LatencyStats::Snapshot merged = router.aggregate_latency();
+  const obs::HistogramSnapshot merged = router.aggregate_latency();
   const serve::EngineCounters total = router.aggregate_counters();
   TextTable aggregate({"aggregate metric", "value"});
   aggregate.add_row({"requests", std::to_string(total.requests)});
   aggregate.add_row({"throughput (req/s)",
                      std::to_string(static_cast<long long>(
-                         merged.requests_per_second))});
-  aggregate.add_row({"p50 latency (us)", format_fixed(merged.p50_us, 0)});
-  aggregate.add_row({"p95 latency (us)", format_fixed(merged.p95_us, 0)});
-  aggregate.add_row({"p99 latency (us)", format_fixed(merged.p99_us, 0)});
+                         static_cast<double>(options.requests) / seconds))});
+  aggregate.add_row(
+      {"p50 latency (us)", format_fixed(merged.quantile(0.50), 0)});
+  aggregate.add_row(
+      {"p95 latency (us)", format_fixed(merged.quantile(0.95), 0)});
+  aggregate.add_row(
+      {"p99 latency (us)", format_fixed(merged.quantile(0.99), 0)});
   aggregate.add_row({"consensus short-circuits",
                      std::to_string(total.consensus_short_circuits)});
   aggregate.add_row({"cache hits", std::to_string(total.cache_hits)});
@@ -849,8 +853,8 @@ int run_route(const CliOptions& options) {
                        std::to_string(info.routed),
                        std::to_string(info.cache_entries),
                        std::to_string(info.counters.cache_hits),
-                       format_fixed(info.latency.p50_us, 0),
-                       format_fixed(info.latency.p99_us, 0)});
+                       format_fixed(info.latency.quantile(0.50), 0),
+                       format_fixed(info.latency.quantile(0.99), 0)});
   }
   per_shard.print(std::cout);
   // Resilience accounting lives in THIS process's registry (retries and

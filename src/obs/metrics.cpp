@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -8,29 +9,59 @@
 
 namespace muffin::obs {
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      counts_(bounds_.size() + 1) {
-  MUFFIN_REQUIRE(
-      std::is_sorted(bounds_.begin(), bounds_.end(),
-                     [](double a, double b) { return a <= b; }),
-      "histogram bounds must be strictly increasing");
+std::uint64_t HistogramSnapshot::count() const noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : counts) total += n;
+  return total;
 }
 
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(counts_.size());
-  for (const std::atomic<std::uint64_t>& c : counts_) {
-    counts.push_back(c.load(std::memory_order_relaxed));
+double HistogramSnapshot::mean() const noexcept {
+  const std::uint64_t n = count();
+  return n > 0 ? sum / static_cast<double>(n) : 0.0;
+}
+
+double HistogramSnapshot::quantile(double q) const {
+  MUFFIN_REQUIRE(q >= 0.0 && q <= 1.0, "quantile q must be in [0, 1]");
+  const std::uint64_t n = count();
+  if (n == 0) return 0.0;
+  const std::uint64_t rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n))), 1,
+      n);
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    seen += counts[b];
+    if (seen >= rank) return histogram_edge(b);
   }
-  return counts;
+  return histogram_edge(counts.size() - 1);  // unreachable: seen reaches n
+}
+
+double HistogramSnapshot::max() const noexcept {
+  for (std::size_t b = counts.size(); b-- > 0;) {
+    if (counts[b] > 0) return histogram_edge(b);
+  }
+  return 0.0;
+}
+
+HistogramSnapshot& HistogramSnapshot::merge(
+    const HistogramSnapshot& other) noexcept {
+  for (std::size_t b = 0; b < counts.size(); ++b) counts[b] += other.counts[b];
+  sum += other.sum;
+  return *this;
+}
+
+HistogramSnapshot Histogram::snapshot() const {
+  HistogramSnapshot snap;
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    snap.counts[b] = counts_[b].load(std::memory_order_relaxed);
+  }
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  return snap;
 }
 
 void Histogram::reset() noexcept {
   for (std::atomic<std::uint64_t>& c : counts_) {
     c.store(0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
@@ -44,8 +75,7 @@ struct Registry::Entry {
   std::unique_ptr<Histogram> histogram;  ///< only for Kind::Histogram
 };
 
-Registry::Entry& Registry::find_or_create(std::string_view name, Kind kind,
-                                          std::vector<double> bounds) {
+Registry::Entry& Registry::find_or_create(std::string_view name, Kind kind) {
   MUFFIN_REQUIRE(!name.empty(), "metric name must be non-empty");
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const std::unique_ptr<Entry>& entry : entries_) {
@@ -53,11 +83,6 @@ Registry::Entry& Registry::find_or_create(std::string_view name, Kind kind,
       MUFFIN_REQUIRE(entry->kind == kind,
                      "metric '" + entry->name +
                          "' already registered with a different kind");
-      if (kind == Kind::Histogram) {
-        MUFFIN_REQUIRE(entry->histogram->bounds() == bounds,
-                       "histogram '" + entry->name +
-                           "' already registered with different buckets");
-      }
       return *entry;
     }
   }
@@ -65,23 +90,22 @@ Registry::Entry& Registry::find_or_create(std::string_view name, Kind kind,
   entry->name = std::string(name);
   entry->kind = kind;
   if (kind == Kind::Histogram) {
-    entry->histogram = std::make_unique<Histogram>(std::move(bounds));
+    entry->histogram = std::make_unique<Histogram>();
   }
   entries_.push_back(std::move(entry));
   return *entries_.back();
 }
 
 Counter& Registry::counter(std::string_view name) {
-  return find_or_create(name, Kind::Counter, {}).counter;
+  return find_or_create(name, Kind::Counter).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
-  return find_or_create(name, Kind::Gauge, {}).gauge;
+  return find_or_create(name, Kind::Gauge).gauge;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> bounds) {
-  return *find_or_create(name, Kind::Histogram, std::move(bounds)).histogram;
+Histogram& Registry::histogram(std::string_view name) {
+  return *find_or_create(name, Kind::Histogram).histogram;
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -96,16 +120,10 @@ MetricsSnapshot Registry::snapshot() const {
         case Kind::Gauge:
           snap.gauges.push_back({entry->name, entry->gauge.value()});
           break;
-        case Kind::Histogram: {
-          HistogramSnapshot h;
-          h.name = entry->name;
-          h.bounds = entry->histogram->bounds();
-          h.counts = entry->histogram->bucket_counts();
-          h.count = entry->histogram->count();
-          h.sum = entry->histogram->sum();
-          snap.histograms.push_back(std::move(h));
+        case Kind::Histogram:
+          snap.histograms.push_back(entry->histogram->snapshot());
+          snap.histograms.back().name = entry->name;
           break;
-        }
       }
     }
   }
@@ -140,20 +158,6 @@ Registry& registry() {
   return instance;
 }
 
-const std::vector<double>& latency_us_buckets() {
-  static const std::vector<double> buckets = {
-      1,    2,    5,     10,    20,    50,     100,    200,      500,
-      1000, 2000, 5000,  10000, 20000, 50000,  100000, 200000,   500000,
-      1000000};
-  return buckets;
-}
-
-const std::vector<double>& batch_size_buckets() {
-  static const std::vector<double> buckets = {1,  2,  4,   8,   16, 32,
-                                              64, 128, 256, 512};
-  return buckets;
-}
-
 // --- snapshot lookups ------------------------------------------------------
 
 namespace {
@@ -177,13 +181,13 @@ std::string prom_name(const std::string& name) {
   return out;
 }
 
-/// Shortest-round-trip style double rendering without trailing noise.
+/// Shortest decimal rendering that round-trips to the same double, so a
+/// bucket edge prints exactly.
 std::string render_double(double v) {
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, v);
+  return std::string(buffer, result.ptr);
 }
 
 }  // namespace
@@ -218,14 +222,15 @@ std::string MetricsSnapshot::to_prometheus() const {
     const std::string name = prom_name(h.name);
     os << "# TYPE " << name << " histogram\n";
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      cumulative += h.counts[i];
-      os << name << "_bucket{le=\"" << render_double(h.bounds[i]) << "\"} "
-         << cumulative << "\n";
+    for (std::size_t b = 0; b < h.counts.size(); ++b) {
+      if (h.counts[b] == 0) continue;
+      cumulative += h.counts[b];
+      os << name << "_bucket{le=\"" << render_double(histogram_edge(b))
+         << "\"} " << cumulative << "\n";
     }
-    os << name << "_bucket{le=\"+Inf\"} " << h.count << "\n"
+    os << name << "_bucket{le=\"+Inf\"} " << cumulative << "\n"
        << name << "_sum " << render_double(h.sum) << "\n"
-       << name << "_count " << h.count << "\n";
+       << name << "_count " << cumulative << "\n";
   }
   return os.str();
 }
@@ -244,16 +249,16 @@ std::string MetricsSnapshot::to_json() const {
   os << "},\"histograms\":{";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSnapshot& h = histograms[i];
-    os << (i ? "," : "") << "\"" << h.name << "\":{\"bounds\":[";
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      os << (b ? "," : "") << render_double(h.bounds[b]);
-    }
-    os << "],\"counts\":[";
+    os << (i ? "," : "") << "\"" << h.name << "\":{\"count\":" << h.count()
+       << ",\"sum\":" << render_double(h.sum) << ",\"buckets\":[";
+    const char* separator = "";
     for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      os << (b ? "," : "") << h.counts[b];
+      if (h.counts[b] == 0) continue;
+      os << separator << "[" << render_double(histogram_edge(b)) << ","
+         << h.counts[b] << "]";
+      separator = ",";
     }
-    os << "],\"count\":" << h.count << ",\"sum\":" << render_double(h.sum)
-       << "}";
+    os << "]}";
   }
   os << "}}";
   return os.str();

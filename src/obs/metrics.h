@@ -6,10 +6,12 @@
 //
 //  * Counter    named monotonic u64 (requests, frames, bytes, drains).
 //  * Gauge      named signed level (queue depth, open connections).
-//  * Histogram  fixed-bucket distribution (batch sizes, encode/decode
-//               microseconds). Bucket bounds are chosen at registration
-//               and never change, so observe() is a linear scan over a
-//               handful of bounds plus one atomic add.
+//  * Histogram  log-linear distribution (latencies, batch sizes). Every
+//               histogram shares one fixed bucket layout — 16 linear
+//               sub-buckets per power of two from 2^-10 to 2^40 — so
+//               observe() is an index computed from the value's bits plus
+//               two atomic adds, and two histograms always merge exactly
+//               by adding bucket counts.
 //
 // Registration happens once per call site through the process-wide
 // Registry (obs::registry()); the intended idiom is a function-local
@@ -22,20 +24,25 @@
 // Metrics are process-global by design: a host running four engine
 // replicas reports the sum of their traffic under one name, and the
 // authoritative per-replica view stays on the replica's own counters
-// (EngineCounters / LatencyStats). snapshot() is a point-in-time copy;
-// exposition is Prometheus text (to_prometheus) or JSON (to_json), both
-// deterministic (name-sorted) so two snapshots of the same state render
-// identically. reset() zeroes every registered metric (bench/test
-// isolation); registered references stay valid forever — metrics are
-// never unregistered.
+// (EngineCounters and the engine's own latency Histogram). snapshot() is
+// a point-in-time copy; exposition is Prometheus text (to_prometheus) or
+// JSON (to_json), both deterministic (name-sorted) so two snapshots of the
+// same state render identically. reset() zeroes every registered metric
+// (bench/test isolation); registered references stay valid forever —
+// metrics are never unregistered.
 //
 // Compiled-out mode: building with -DMUFFIN_OBS_DISABLED turns every
 // record operation (inc/set/add/observe) into an inline no-op while
 // keeping the full API, so instrumented call sites compile unchanged and
 // the overhead gate in bench_serve can compare enabled vs off builds.
+// Histogram::record stays live in that build: it is the per-replica
+// accounting path, not a registry metric.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -99,54 +106,88 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
+// --- the histogram bucket layout -------------------------------------------
+//
+// Bucket 0 holds every value <= 2^-10 (zero, negatives and NaN included).
+// Bucket i > 0 holds (edge(i-1), edge(i)], where the edges step through
+// each power of two in 16 equal parts, so a bucket is never wider than
+// 1/16 of the values it holds. The last edge is 2^40; larger values
+// saturate into the last bucket (2^40 us is twelve days).
+
+inline constexpr int kHistogramMinExponent = -10;
+inline constexpr int kHistogramMaxExponent = 40;
+inline constexpr std::size_t kHistogramSubBuckets = 16;
+inline constexpr std::size_t kHistogramBuckets =
+    1 + (kHistogramMaxExponent - kHistogramMinExponent) * kHistogramSubBuckets;
+
+namespace detail {
+/// The top 16 bits of a positive double are its biased exponent followed
+/// by its top 4 mantissa bits: an index that steps 16 times per power of
+/// two. This is that index for 2^kHistogramMinExponent.
+inline constexpr std::uint64_t kHistogramFirstKey =
+    static_cast<std::uint64_t>(1023 + kHistogramMinExponent) << 4;
+}  // namespace detail
+
+/// The bucket holding `value`.
+[[nodiscard]] inline std::size_t histogram_bucket(double value) noexcept {
+  if (!(value > 0.0)) return 0;
+  // Positive doubles order like their bit patterns. Stepping one ulp down
+  // before taking the key puts a value equal to an edge in the bucket
+  // that edge closes.
+  const std::uint64_t key = (std::bit_cast<std::uint64_t>(value) - 1) >> 48;
+  if (key < detail::kHistogramFirstKey) return 0;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(
+      key - detail::kHistogramFirstKey + 1, kHistogramBuckets - 1));
+}
+
+/// The upper edge of `bucket` (inclusive), bucket < kHistogramBuckets.
+[[nodiscard]] inline double histogram_edge(std::size_t bucket) noexcept {
+  return std::bit_cast<double>((detail::kHistogramFirstKey + bucket) << 48);
+}
+
+/// Point-in-time value of a histogram: what snapshots, merges and the
+/// wire carry. Merging is a bucket-wise sum, so it is exact, commutative
+/// and associative in the counts; `sum` merges as floating-point addition.
+struct HistogramSnapshot {
+  std::string name;  ///< registry name; empty outside a MetricsSnapshot
+  std::array<std::uint64_t, kHistogramBuckets> counts{};  ///< per bucket
+  double sum = 0.0;
+
+  [[nodiscard]] std::uint64_t count() const noexcept;
+  [[nodiscard]] double mean() const noexcept;
+  /// Nearest-rank quantile, q in [0, 1]: the upper edge of the bucket
+  /// holding the ceil(q * count)-th smallest value. 0 when empty.
+  [[nodiscard]] double quantile(double q) const;
+  /// Upper edge of the highest non-empty bucket; 0 when empty.
+  [[nodiscard]] double max() const noexcept;
+  /// Add `other`'s buckets and sum into this one.
+  HistogramSnapshot& merge(const HistogramSnapshot& other) noexcept;
+};
+
 class Histogram {
  public:
-  /// `bounds` are strictly increasing bucket upper bounds; values above
-  /// the last bound land in the implicit +Inf bucket.
-  explicit Histogram(std::vector<double> bounds);
-
+  Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
+  /// Registry-metric recording: compiled out under MUFFIN_OBS_DISABLED.
   void observe(double value) noexcept {
-#if defined(MUFFIN_OBS_DISABLED)
-    (void)value;
-#else
-    std::size_t bucket = bounds_.size();  // +Inf by default
-    for (std::size_t i = 0; i < bounds_.size(); ++i) {
-      if (value <= bounds_[i]) {
-        bucket = i;
-        break;
-      }
-    }
-    counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    // Relaxed CAS loop: atomic<double>::fetch_add is C++20 but the loop
-    // keeps us off any libstdc++ version cliff, and sums are cold next
-    // to the serving work they describe.
-    double expected = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(expected, expected + value,
-                                       std::memory_order_relaxed)) {
-    }
-#endif
+    if constexpr (compiled_in()) record(value);
   }
 
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
+  /// Recording in every build; two relaxed atomic adds, no lock.
+  void record(double value) noexcept {
+    counts_[histogram_bucket(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
   }
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  /// Per-bucket (non-cumulative) counts; size bounds().size() + 1, the
-  /// last entry being the +Inf bucket.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+
+  /// Copy of every bucket and the sum. The count is the sum of the
+  /// copied buckets, so it can never disagree with them.
+  [[nodiscard]] HistogramSnapshot snapshot() const;
   void reset() noexcept;
 
  private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;  ///< bounds + Inf
-  std::atomic<std::uint64_t> count_{0};
+  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> counts_{};
   std::atomic<double> sum_{0.0};
 };
 
@@ -162,14 +203,6 @@ struct GaugeSnapshot {
   std::int64_t value = 0;
 };
 
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;  ///< per-bucket, last is +Inf
-  std::uint64_t count = 0;
-  double sum = 0.0;
-};
-
 /// Point-in-time copy of every registered metric, name-sorted per kind.
 struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
@@ -183,10 +216,12 @@ struct MetricsSnapshot {
       std::string_view name) const;
 
   /// Prometheus text exposition (names prefixed "muffin_", dots become
-  /// underscores, histogram buckets cumulative with an +Inf bucket).
+  /// underscores; histogram buckets cumulative, one `le` line per
+  /// non-empty bucket plus +Inf).
   [[nodiscard]] std::string to_prometheus() const;
   /// Compact JSON object {"counters":{...},"gauges":{...},
-  /// "histograms":{...}}.
+  /// "histograms":{name:{"count","sum","buckets":[[edge,count],...]}}}
+  /// (non-empty buckets only, per-bucket counts).
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -194,11 +229,10 @@ class Registry {
  public:
   /// Look up or create the named metric. References stay valid for the
   /// process lifetime. Registering the same name with a different kind
-  /// (or a histogram with different bounds) throws muffin::Error.
+  /// throws muffin::Error.
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::vector<double> bounds);
+  [[nodiscard]] Histogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
   /// Zero every registered metric (registration survives).
@@ -208,8 +242,7 @@ class Registry {
   enum class Kind { Counter, Gauge, Histogram };
   struct Entry;
 
-  [[nodiscard]] Entry& find_or_create(std::string_view name, Kind kind,
-                                      std::vector<double> bounds);
+  [[nodiscard]] Entry& find_or_create(std::string_view name, Kind kind);
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;  ///< stable addresses
@@ -217,12 +250,5 @@ class Registry {
 
 /// The process-wide registry every layer reports through.
 [[nodiscard]] Registry& registry();
-
-/// Microsecond-scale latency buckets (1us .. 1s), shared by the timing
-/// histograms so operator dashboards line up across layers.
-[[nodiscard]] const std::vector<double>& latency_us_buckets();
-
-/// Batch-size buckets (1 .. 512) for the batching histograms.
-[[nodiscard]] const std::vector<double>& batch_size_buckets();
 
 }  // namespace muffin::obs

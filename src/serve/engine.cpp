@@ -31,16 +31,14 @@ struct EngineMetrics {
       obs::registry().counter("engine.consensus_short_circuits");
   obs::Counter& head_evaluations =
       obs::registry().counter("engine.head_evaluations");
-  obs::Histogram& batch_size = obs::registry().histogram(
-      "engine.batch_size", obs::batch_size_buckets());
-  obs::Histogram& latency_us = obs::registry().histogram(
-      "engine.latency_us", obs::latency_us_buckets());
+  obs::Histogram& batch_size = obs::registry().histogram("engine.batch_size");
+  obs::Histogram& latency_us = obs::registry().histogram("engine.latency_us");
   /// Requests rejected at admission (Overloaded), and how long the
   /// rejection itself took — the shed path's whole point is that this
   /// histogram sits far below engine.latency_us.
   obs::Counter& shed = obs::registry().counter("serve.shed");
-  obs::Histogram& shed_latency_us = obs::registry().histogram(
-      "serve.shed_latency_us", obs::latency_us_buckets());
+  obs::Histogram& shed_latency_us =
+      obs::registry().histogram("serve.shed_latency_us");
   /// Requests dropped unscored because they overstayed config.deadline.
   obs::Counter& deadline_drops =
       obs::registry().counter("serve.deadline_drops");
@@ -453,10 +451,11 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     const obs::TraceSpan reply_span("serve.reply", any_traced);
     const double now_us = any_traced ? tracer.to_us(now) : 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      latency_.record(now - batch[i].enqueued);
-      metrics.latency_us.observe(
+      const double latency_us =
           std::chrono::duration<double, std::micro>(now - batch[i].enqueued)
-              .count());
+              .count();
+      latency_.record(latency_us);
+      metrics.latency_us.observe(latency_us);
       if (batch[i].traced) {
         const double enqueued_us = tracer.to_us(batch[i].enqueued);
         tracer.record("serve.request", enqueued_us, now_us - enqueued_us,

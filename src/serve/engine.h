@@ -75,9 +75,9 @@
 
 #include "common/thread_pool.h"
 #include "core/fused.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
-#include "serve/stats.h"
 #include "tensor/quant.h"
 
 namespace muffin::serve {
@@ -126,6 +126,15 @@ struct EngineCounters {
   std::size_t cache_hits = 0;
   std::size_t consensus_short_circuits = 0;
   std::size_t head_evaluations = 0;
+
+  EngineCounters& operator+=(const EngineCounters& other) {
+    requests += other.requests;
+    batches += other.batches;
+    cache_hits += other.cache_hits;
+    consensus_short_circuits += other.consensus_short_circuits;
+    head_evaluations += other.head_evaluations;
+    return *this;
+  }
 };
 
 /// The serving tier's all-or-error rule, in one place: wait for every
@@ -196,7 +205,12 @@ class InferenceEngine {
     return swaps_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
-  [[nodiscard]] const LatencyStats& latency() const { return latency_; }
+  /// Per-request latency in microseconds, enqueue to reply.
+  [[nodiscard]] const obs::Histogram& latency() const { return latency_; }
+  /// Seconds since construction: the span latency().count() was served in.
+  [[nodiscard]] double elapsed_seconds() const {
+    return std::chrono::duration<double>(Clock::now() - started_).count();
+  }
   [[nodiscard]] EngineCounters counters() const;
 
   // Shard-local memo introspection (used by ShardRouter and the sharding
@@ -369,7 +383,8 @@ class InferenceEngine {
   std::size_t max_helpers_ = 0;
   Memo memo_;
 
-  LatencyStats latency_;
+  obs::Histogram latency_;
+  const Clock::time_point started_ = Clock::now();
   std::atomic<std::size_t> swaps_{0};
   std::atomic<std::size_t> requests_{0};
   std::atomic<std::size_t> batches_{0};

@@ -40,19 +40,30 @@ namespace muffin::serve {
 
 /// Server-authoritative accounting for one replica, as shipped by the
 /// Stats RPC (serve/rpc/wire.h): the serving engine's own counters and
-/// memo size, its latency accounting in transferable form (the reservoir
-/// travels, so merged percentiles behave as if recorded in one process),
-/// and — when the report crosses a process boundary — the server
-/// process's metrics registry snapshot. In-process replicas leave
+/// memo size, how long it has been serving, its latency histogram (which
+/// merges exactly, so a fleet aggregate equals one collector fed every
+/// request), and — when the report crosses a process boundary — the
+/// server process's metrics registry snapshot. In-process replicas leave
 /// `metrics` empty: the registry is process-wide, so every local replica
 /// would ship the same duplicate copy; callers snapshot obs::registry()
 /// once themselves.
 struct StatsReport {
   EngineCounters counters;
   std::size_t cache_entries = 0;
-  LatencyStats::Export latency;
+  double elapsed_seconds = 0.0;  ///< engine age; aggregates take the largest
+  obs::HistogramSnapshot latency;  ///< microseconds, enqueue to reply
   obs::MetricsSnapshot metrics;
 };
+
+/// `engine`'s own accounting as a StatsReport (metrics left empty).
+[[nodiscard]] inline StatsReport engine_stats(const InferenceEngine& engine) {
+  StatsReport report;
+  report.counters = engine.counters();
+  report.cache_entries = engine.cache_entries();
+  report.elapsed_seconds = engine.elapsed_seconds();
+  report.latency = engine.latency().snapshot();
+  return report;
+}
 
 class ReplicaBackend {
  public:
@@ -84,7 +95,7 @@ class ReplicaBackend {
   [[nodiscard]] virtual std::string describe() const = 0;
 
   [[nodiscard]] virtual EngineCounters counters() const = 0;
-  [[nodiscard]] virtual const LatencyStats& latency() const = 0;
+  [[nodiscard]] virtual const obs::Histogram& latency() const = 0;
   [[nodiscard]] virtual std::size_t cache_entries() const = 0;
   [[nodiscard]] virtual bool cache_contains(std::uint64_t uid) const = 0;
 
@@ -135,7 +146,7 @@ class LocalReplica final : public ReplicaBackend {
   [[nodiscard]] EngineCounters counters() const override {
     return engine_.counters();
   }
-  [[nodiscard]] const LatencyStats& latency() const override {
+  [[nodiscard]] const obs::Histogram& latency() const override {
     return engine_.latency();
   }
   [[nodiscard]] std::size_t cache_entries() const override {
@@ -145,11 +156,7 @@ class LocalReplica final : public ReplicaBackend {
     return engine_.cache_contains(uid);
   }
   [[nodiscard]] std::optional<StatsReport> authoritative_stats() override {
-    StatsReport report;
-    report.counters = engine_.counters();
-    report.cache_entries = engine_.cache_entries();
-    report.latency = engine_.latency().to_export();
-    return report;  // metrics stay empty: same process, same registry
+    return engine_stats(engine_);  // same process, same registry
   }
   [[nodiscard]] std::uint64_t reload(
       const std::string& artifact_path) override {

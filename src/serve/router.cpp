@@ -364,8 +364,7 @@ void ShardRouter::remove_replica(std::size_t shard) {
     // and operator tables consume so observers never touch a retiring
     // backend. Refined below once the drain completes.
     replica.frozen_counters = replica.backend->counters();
-    replica.frozen_latency = std::make_unique<LatencyStats>();
-    replica.frozen_latency->merge(replica.backend->latency());
+    replica.frozen_latency = replica.backend->latency().snapshot();
     replica.frozen_cache_entries = replica.backend->cache_entries();
     replica.state = State::Removed;
     retired = std::move(replica.backend);
@@ -386,8 +385,7 @@ void ShardRouter::remove_replica(std::size_t shard) {
     const std::unique_lock<std::shared_mutex> lock(mutex_);
     Replica& replica = *replicas_[shard];
     replica.frozen_counters = retired->counters();
-    replica.frozen_latency = std::make_unique<LatencyStats>();
-    replica.frozen_latency->merge(retired->latency());
+    replica.frozen_latency = retired->latency().snapshot();
     replica.frozen_cache_entries = retired->cache_entries();
   }
 }
@@ -418,38 +416,31 @@ const InferenceEngine& ShardRouter::replica(std::size_t shard) const {
   return *engine;
 }
 
-LatencyStats::Snapshot ShardRouter::aggregate_latency() const {
+obs::HistogramSnapshot ShardRouter::aggregate_latency() const {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
-  LatencyStats merged;
+  obs::HistogramSnapshot merged;
   for (const std::unique_ptr<Replica>& replica : replicas_) {
     if (replica->state == State::Removed) {
-      merged.merge(*replica->frozen_latency);
+      merged.merge(replica->frozen_latency);
     } else {
-      merged.merge(replica->backend->latency());
+      merged.merge(replica->backend->latency().snapshot());
     }
   }
-  return merged.snapshot();
+  return merged;
 }
 
 EngineCounters ShardRouter::aggregate_counters() const {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   EngineCounters total;
   for (const std::unique_ptr<Replica>& replica : replicas_) {
-    const EngineCounters c = replica->state == State::Removed
-                                 ? replica->frozen_counters
-                                 : replica->backend->counters();
-    total.requests += c.requests;
-    total.batches += c.batches;
-    total.cache_hits += c.cache_hits;
-    total.consensus_short_circuits += c.consensus_short_circuits;
-    total.head_evaluations += c.head_evaluations;
+    total += replica->state == State::Removed ? replica->frozen_counters
+                                              : replica->backend->counters();
   }
   return total;
 }
 
 StatsReport ShardRouter::authoritative_stats() const {
   StatsReport total;
-  LatencyStats merged;
   // Phase 1 (shared lock): fold the frozen snapshots of removed replicas
   // and collect live backends. shared_ptrs keep backends alive across
   // the unlocked fetches even if a replica is removed meanwhile (the
@@ -460,14 +451,9 @@ StatsReport ShardRouter::authoritative_stats() const {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
     for (const std::unique_ptr<Replica>& replica : replicas_) {
       if (replica->state == State::Removed) {
-        const EngineCounters& c = replica->frozen_counters;
-        total.counters.requests += c.requests;
-        total.counters.batches += c.batches;
-        total.counters.cache_hits += c.cache_hits;
-        total.counters.consensus_short_circuits += c.consensus_short_circuits;
-        total.counters.head_evaluations += c.head_evaluations;
+        total.counters += replica->frozen_counters;
         total.cache_entries += replica->frozen_cache_entries;
-        merged.merge(*replica->frozen_latency);
+        total.latency.merge(replica->frozen_latency);
       } else {
         backends.push_back(replica->backend);
       }
@@ -477,29 +463,20 @@ StatsReport ShardRouter::authoritative_stats() const {
   // connect/request deadlines; routing stays live meanwhile.
   for (const std::shared_ptr<ReplicaBackend>& backend : backends) {
     if (std::optional<StatsReport> report = backend->authoritative_stats()) {
-      const EngineCounters& c = report->counters;
-      total.counters.requests += c.requests;
-      total.counters.batches += c.batches;
-      total.counters.cache_hits += c.cache_hits;
-      total.counters.consensus_short_circuits += c.consensus_short_circuits;
-      total.counters.head_evaluations += c.head_evaluations;
+      total.counters += report->counters;
       total.cache_entries += report->cache_entries;
-      merged.merge_export(report->latency);
+      total.elapsed_seconds =
+          std::max(total.elapsed_seconds, report->elapsed_seconds);
+      total.latency.merge(report->latency);
     } else {
       // Unreachable (or pre-Stats) remote: degrade to this client's
       // observed accounting rather than dropping the shard's traffic
       // from the aggregate.
-      const EngineCounters c = backend->counters();
-      total.counters.requests += c.requests;
-      total.counters.batches += c.batches;
-      total.counters.cache_hits += c.cache_hits;
-      total.counters.consensus_short_circuits += c.consensus_short_circuits;
-      total.counters.head_evaluations += c.head_evaluations;
+      total.counters += backend->counters();
       total.cache_entries += backend->cache_entries();
-      merged.merge(backend->latency());
+      total.latency.merge(backend->latency().snapshot());
     }
   }
-  total.latency = merged.to_export();
   total.metrics = obs::registry().snapshot();
   return total;
 }
@@ -561,7 +538,7 @@ std::vector<ShardInfo> ShardRouter::shard_infos() const {
     if (replica.state == State::Removed) {
       info.cache_entries = replica.frozen_cache_entries;
       info.counters = replica.frozen_counters;
-      info.latency = replica.frozen_latency->snapshot();
+      info.latency = replica.frozen_latency;
     } else {
       info.cache_entries = replica.backend->cache_entries();
       info.counters = replica.backend->counters();

@@ -131,10 +131,10 @@ struct ShardInfo {
   std::size_t routed = 0;  ///< requests this router sent to the shard
   std::size_t cache_entries = 0;
   EngineCounters counters;
-  LatencyStats::Snapshot latency;
+  obs::HistogramSnapshot latency;
 };
 
-struct RouterTestAccess;  // test-only backdoor (tests/serve)
+struct RouterTestAccess;  // test-only backdoor (tests/serve, tests/obs)
 
 class ShardRouter {
  public:
@@ -196,12 +196,11 @@ class ShardRouter {
   /// removed shards (removed backends are destroyed at removal).
   [[nodiscard]] const InferenceEngine& replica(std::size_t shard) const;
 
-  /// Merged accounting across every replica that ever served traffic
-  /// (removed replicas contribute their frozen snapshots): exact
-  /// count/mean/max, reservoir-merged percentiles, wall-clock throughput
-  /// (LatencyStats::merge semantics). Remote replicas contribute
-  /// client-observed stats (see serve/replica.h).
-  [[nodiscard]] LatencyStats::Snapshot aggregate_latency() const;
+  /// Merged latency across every replica that ever served traffic
+  /// (removed replicas contribute their frozen snapshots): the bucket-wise
+  /// sum, equal to one histogram fed every request. Remote replicas
+  /// contribute client-observed latency (see serve/replica.h).
+  [[nodiscard]] obs::HistogramSnapshot aggregate_latency() const;
   [[nodiscard]] EngineCounters aggregate_counters() const;
   [[nodiscard]] std::vector<ShardInfo> shard_infos() const;
 
@@ -213,7 +212,8 @@ class ShardRouter {
   /// server. Network fetches run off the router locks, like health
   /// probes. A remote replica whose fetch fails — and removed replicas —
   /// fall back to their frozen/client-observed accounting, so the report
-  /// is always complete. The report's `metrics` field is THIS process's
+  /// is always complete. `elapsed_seconds` is the largest any replica
+  /// reported. The report's `metrics` field is THIS process's
   /// registry snapshot (per-server registries are visible via
   /// rpc::RemoteShard::fetch_stats / `muffin_cli stats`).
   [[nodiscard]] StatsReport authoritative_stats() const;
@@ -260,7 +260,7 @@ class ShardRouter {
     bool is_remote = false;
     // Freeze-at-removal snapshot (meaningful once state == Removed).
     EngineCounters frozen_counters;
-    std::unique_ptr<LatencyStats> frozen_latency;
+    obs::HistogramSnapshot frozen_latency;
     std::size_t frozen_cache_entries = 0;
   };
 

@@ -28,10 +28,10 @@ struct ClientMetrics {
       obs::registry().counter("rpc.client.deadline_expiries");
   obs::Counter& request_failures =
       obs::registry().counter("rpc.client.request_failures");
-  obs::Histogram& encode_us = obs::registry().histogram(
-      "rpc.client.encode_us", obs::latency_us_buckets());
-  obs::Histogram& decode_us = obs::registry().histogram(
-      "rpc.client.decode_us", obs::latency_us_buckets());
+  obs::Histogram& encode_us =
+      obs::registry().histogram("rpc.client.encode_us");
+  obs::Histogram& decode_us =
+      obs::registry().histogram("rpc.client.decode_us");
 
   static ClientMetrics& get() {
     static ClientMetrics metrics;
@@ -379,7 +379,9 @@ void RemoteShard::deliver(PendingBatch batch,
   obs::Tracer& tracer = obs::Tracer::instance();
   const double now_us = batch.traced ? tracer.now_us() : 0.0;
   for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    latency_.record(now - batch.requests[i].enqueued);
+    latency_.record(std::chrono::duration<double, std::micro>(
+                        now - batch.requests[i].enqueued)
+                        .count());
     if (batch.requests[i].traced) {
       // Client-observed round trip: submit (incl. client batching delay)
       // to response delivery — the client-side mirror of serve.request.

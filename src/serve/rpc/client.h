@@ -101,7 +101,7 @@ class RemoteShard final : public ReplicaBackend {
     return endpoint_.to_string();
   }
   [[nodiscard]] EngineCounters counters() const override;
-  [[nodiscard]] const LatencyStats& latency() const override {
+  [[nodiscard]] const obs::Histogram& latency() const override {
     return latency_;
   }
   [[nodiscard]] std::size_t cache_entries() const override { return 0; }
@@ -191,7 +191,7 @@ class RemoteShard final : public ReplicaBackend {
   Clock::time_point next_connect_attempt_{};  ///< epoch: first dial is free
   std::atomic<std::uint64_t> connect_attempts_{0};
 
-  LatencyStats latency_;
+  obs::Histogram latency_;  ///< client-observed round trip, microseconds
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::size_t> consecutive_failures_{0};
   std::atomic<std::size_t> requests_{0};

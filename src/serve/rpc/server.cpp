@@ -30,10 +30,10 @@ struct ServerMetrics {
       obs::registry().counter("rpc.server.stats_requests");
   obs::Counter& reload_requests =
       obs::registry().counter("rpc.server.reload_requests");
-  obs::Histogram& decode_us = obs::registry().histogram(
-      "rpc.server.decode_us", obs::latency_us_buckets());
-  obs::Histogram& encode_us = obs::registry().histogram(
-      "rpc.server.encode_us", obs::latency_us_buckets());
+  obs::Histogram& decode_us =
+      obs::registry().histogram("rpc.server.decode_us");
+  obs::Histogram& encode_us =
+      obs::registry().histogram("rpc.server.encode_us");
 
   static ServerMetrics& get() {
     static ServerMetrics metrics;
@@ -223,10 +223,7 @@ void ShardServer::reader_loop(Connection& connection) {
           // through the FIFO so responses stay in request order.
           metrics.stats_requests.inc();
           response.type = MsgType::StatsResponse;
-          StatsReport report;
-          report.counters = engine_.counters();
-          report.cache_entries = engine_.cache_entries();
-          report.latency = engine_.latency().to_export();
+          StatsReport report = engine_stats(engine_);
           report.metrics = obs::registry().snapshot();
           response.raw_frame = encode_stats_response(response.seq, report);
           break;

@@ -1,5 +1,6 @@
 #include "serve/rpc/wire.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.h"
@@ -193,6 +194,45 @@ std::string read_name(common::ByteReader& reader) {
   return std::string(bytes.begin(), bytes.end());
 }
 
+/// The one histogram codec: u16 n, then n x {u16 bucket, u64 count} for
+/// the non-empty buckets in increasing bucket order, then f64 sum.
+void put_histogram(std::vector<std::uint8_t>& frame,
+                   const obs::HistogramSnapshot& histogram) {
+  const auto& counts = histogram.counts;
+  common::put_u16(frame, static_cast<std::uint16_t>(std::count_if(
+                             counts.begin(), counts.end(),
+                             [](std::uint64_t c) { return c > 0; })));
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 0) continue;
+    common::put_u16(frame, static_cast<std::uint16_t>(b));
+    common::put_u64(frame, counts[b]);
+  }
+  common::put_f64(frame, histogram.sum);
+}
+
+obs::HistogramSnapshot read_histogram(common::ByteReader& reader) {
+  obs::HistogramSnapshot histogram;
+  const std::uint16_t n = reader.u16();
+  reader.require_count(n, 2 + 8);
+  std::size_t next_bucket = 0;  // indices must strictly increase
+  std::uint64_t total = 0;
+  for (std::uint16_t k = 0; k < n; ++k) {
+    const std::size_t bucket = reader.u16();
+    const std::uint64_t count = reader.u64();
+    MUFFIN_REQUIRE(bucket < obs::kHistogramBuckets,
+                   "histogram bucket index out of range");
+    MUFFIN_REQUIRE(bucket >= next_bucket,
+                   "histogram bucket indices out of order");
+    MUFFIN_REQUIRE(count <= std::numeric_limits<std::uint64_t>::max() - total,
+                   "histogram bucket counts overflow");
+    histogram.counts[bucket] = count;
+    next_bucket = bucket + 1;
+    total += count;
+  }
+  histogram.sum = reader.f64();
+  return histogram;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_stats_request(std::uint64_t seq) {
@@ -211,18 +251,8 @@ std::vector<std::uint8_t> encode_stats_response(std::uint64_t seq,
   common::put_u64(frame, report.counters.head_evaluations);
   common::put_u64(frame, report.cache_entries);
 
-  const LatencyStats::Export& latency = report.latency;
-  MUFFIN_REQUIRE(
-      latency.samples_us.size() <=
-          std::numeric_limits<std::uint32_t>::max(),
-      "latency reservoir too large for the wire format");
-  common::put_u64(frame, latency.count);
-  common::put_f64(frame, latency.sum_us);
-  common::put_f64(frame, latency.max_us);
-  common::put_f64(frame, latency.elapsed_seconds);
-  common::put_u32(frame,
-                  static_cast<std::uint32_t>(latency.samples_us.size()));
-  common::put_f64_span(frame, latency.samples_us);
+  common::put_f64(frame, report.elapsed_seconds);
+  put_histogram(frame, report.latency);
 
   const obs::MetricsSnapshot& metrics = report.metrics;
   common::put_u32(frame, static_cast<std::uint32_t>(metrics.counters.size()));
@@ -239,14 +269,7 @@ std::vector<std::uint8_t> encode_stats_response(std::uint64_t seq,
                   static_cast<std::uint32_t>(metrics.histograms.size()));
   for (const obs::HistogramSnapshot& histogram : metrics.histograms) {
     put_name(frame, histogram.name);
-    common::put_u32(frame,
-                    static_cast<std::uint32_t>(histogram.bounds.size()));
-    common::put_f64_span(frame, histogram.bounds);
-    for (const std::uint64_t count : histogram.counts) {
-      common::put_u64(frame, count);
-    }
-    common::put_u64(frame, histogram.count);
-    common::put_f64(frame, histogram.sum);
+    put_histogram(frame, histogram);
   }
   finish_frame(frame);
   return frame;
@@ -263,22 +286,8 @@ StatsReport decode_stats_response(std::span<const std::uint8_t> payload) {
   report.counters.head_evaluations = static_cast<std::size_t>(reader.u64());
   report.cache_entries = static_cast<std::size_t>(reader.u64());
 
-  LatencyStats::Export& latency = report.latency;
-  latency.count = static_cast<std::size_t>(reader.u64());
-  latency.sum_us = reader.f64();
-  latency.max_us = reader.f64();
-  latency.elapsed_seconds = reader.f64();
-  const std::uint32_t n_samples = reader.u32();
-  reader.require_count(n_samples, 8);
-  reader.f64_into(latency.samples_us, n_samples);
-  // merge_export weighs each reservoir entry as count/samples requests;
-  // a hostile report claiming recorded requests with an empty (or
-  // impossibly over-full) reservoir must fail here, not divide by zero
-  // in the importer.
-  MUFFIN_REQUIRE(latency.count == 0 || !latency.samples_us.empty(),
-                 "latency export has requests but no reservoir samples");
-  MUFFIN_REQUIRE(latency.samples_us.size() <= latency.count,
-                 "latency export reservoir larger than its request count");
+  report.elapsed_seconds = reader.f64();
+  report.latency = read_histogram(reader);
 
   const std::uint32_t n_counters = reader.u32();
   reader.require_count(n_counters, 10);  // 2-byte name length + u64
@@ -299,23 +308,16 @@ StatsReport decode_stats_response(std::span<const std::uint8_t> payload) {
     report.metrics.gauges.push_back(std::move(gauge));
   }
   const std::uint32_t n_histograms = reader.u32();
-  // Minimum histogram: empty name, zero bounds, one +Inf bucket count,
-  // count, sum.
-  reader.require_count(n_histograms, 2 + 4 + 8 + 8 + 8);
+  // A decoded histogram holds every bucket, so its memory is not bounded
+  // by its wire bytes: cap the count as well as checking it fits.
+  MUFFIN_REQUIRE(n_histograms <= kMaxStatsHistograms,
+                 "stats response carries too many histograms");
+  reader.require_count(n_histograms, 2 + 2 + 8);  // empty name, n, sum
   report.metrics.histograms.reserve(n_histograms);
   for (std::uint32_t i = 0; i < n_histograms; ++i) {
-    obs::HistogramSnapshot histogram;
-    histogram.name = read_name(reader);
-    const std::uint32_t n_bounds = reader.u32();
-    reader.require_count(n_bounds, 8);
-    reader.f64_into(histogram.bounds, n_bounds);
-    histogram.counts.reserve(static_cast<std::size_t>(n_bounds) + 1);
-    for (std::uint32_t b = 0; b <= n_bounds; ++b) {
-      histogram.counts.push_back(reader.u64());
-    }
-    histogram.count = reader.u64();
-    histogram.sum = reader.f64();
-    report.metrics.histograms.push_back(std::move(histogram));
+    std::string name = read_name(reader);
+    report.metrics.histograms.push_back(read_histogram(reader));
+    report.metrics.histograms.back().name = std::move(name);
   }
   MUFFIN_REQUIRE(reader.done(), "trailing bytes after stats response");
   return report;

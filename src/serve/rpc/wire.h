@@ -25,7 +25,7 @@
 // hot end to end instead of degrading the remote hop to per-record
 // round trips.
 //
-// Messages (version 2):
+// Messages (version 3):
 //   ScoreRequest   u32 count, then `count` records (data/serialize.h)
 //   ScoreResponse  u32 rows, u32 num_classes, rows*num_classes f64
 //                  (row-major score matrix), then per row:
@@ -41,15 +41,19 @@
 //   StatsResponse  the server's authoritative StatsReport:
 //                  5x u64 engine counters (requests, batches, cache_hits,
 //                  consensus_short_circuits, head_evaluations),
-//                  u64 cache_entries,
-//                  latency export: u64 count, f64 sum_us, f64 max_us,
-//                  f64 elapsed_seconds, u32 n + n*f64 reservoir samples,
+//                  u64 cache_entries, f64 elapsed_seconds,
+//                  latency histogram (below),
 //                  metrics snapshot: u32 n_counters x {u16 name_len,
 //                  name bytes, u64 value}, u32 n_gauges x {u16 name_len,
 //                  name bytes, u64 two's-complement value}, u32 n_hists
-//                  x {u16 name_len, name bytes, u32 n_bounds, n_bounds*
-//                  f64 upper bounds, (n_bounds+1)*u64 bucket counts,
-//                  u64 count, f64 sum}
+//                  (at most kMaxStatsHistograms) x {u16 name_len, name
+//                  bytes, histogram}
+//                  where histogram = u16 n, n x {u16 bucket index, u64
+//                  count} over the non-empty buckets of the one
+//                  obs::Histogram layout in strictly increasing index
+//                  order, then f64 sum. The decoder rejects an index out
+//                  of range or out of order and counts whose total
+//                  overflows u64.
 //   Reload         u32 byte length + UTF-8 artifact path: swap the
 //                  server's model to that (server-local) artifact. The
 //                  server answers ReloadAck on success, Error otherwise;
@@ -58,7 +62,9 @@
 //
 // Version 2 widened ScoreResponse rows with the model version that
 // scored them (the zero-downtime lifecycle needs the caller to see
-// which epoch answered) and added the Reload pair; v1 peers fail
+// which epoch answered) and added the Reload pair. Version 3 replaced
+// the StatsResponse latency reservoir and the fixed-bound metrics
+// histograms with sparse log-linear bucket counts. Older peers fail
 // cleanly on the version check.
 #pragma once
 
@@ -78,11 +84,15 @@
 namespace muffin::serve::rpc {
 
 inline constexpr std::uint32_t kMagic = 0x4E46'554DU;  // "MUFN" little-endian
-inline constexpr std::uint16_t kVersion = 2;
+inline constexpr std::uint16_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 /// Default payload ceiling; generous for any sane batch, small enough
 /// that a corrupt length field cannot exhaust memory.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;
+/// Most metrics histograms one StatsResponse may carry. A decoded
+/// histogram holds every bucket (~6 KB) whatever its wire size, so the
+/// count is capped rather than only checked against the frame bytes.
+inline constexpr std::size_t kMaxStatsHistograms = 1024;
 
 enum class MsgType : std::uint16_t {
   ScoreRequest = 1,
@@ -147,8 +157,8 @@ void encode_header(std::vector<std::uint8_t>& out, MsgType type,
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_response(
     std::uint64_t seq, const StatsReport& report);
 /// Bounds-checked decode; hostile payloads (truncation, counts that
-/// cannot fit, a latency export claiming recorded requests but shipping
-/// no samples) throw muffin::Error.
+/// cannot fit, histogram bucket indices out of range or out of order,
+/// bucket counts that overflow) throw muffin::Error.
 [[nodiscard]] StatsReport decode_stats_response(
     std::span<const std::uint8_t> payload);
 

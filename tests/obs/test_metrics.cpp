@@ -3,10 +3,12 @@
 // The contract under test:
 //  1. Registration is idempotent per name and kind-stable: the same name
 //     always returns the same metric object; re-registering under a
-//     different kind (or a histogram with different bounds) throws.
+//     different kind throws.
 //  2. Recording is lossless under concurrency: counters, gauges and
 //     histograms are hammered from several threads and the totals must
 //     be exact (this is the TSan surface for the relaxed-atomic paths).
+//     The histogram's own layout, quantile and merge contract lives in
+//     test_histogram.cpp.
 //  3. Exposition is deterministic: snapshots are name-sorted, and the
 //     Prometheus/JSON renderings of equal state are identical strings.
 //
@@ -31,30 +33,15 @@ TEST(Registry, SameNameReturnsSameMetric) {
   Gauge& g1 = registry().gauge("test.same_gauge");
   Gauge& g2 = registry().gauge("test.same_gauge");
   EXPECT_EQ(&g1, &g2);
-  Histogram& h1 = registry().histogram("test.same_hist", {1.0, 2.0});
-  Histogram& h2 = registry().histogram("test.same_hist", {1.0, 2.0});
+  Histogram& h1 = registry().histogram("test.same_hist");
+  Histogram& h2 = registry().histogram("test.same_hist");
   EXPECT_EQ(&h1, &h2);
 }
 
 TEST(Registry, KindConflictThrows) {
   (void)registry().counter("test.kind_conflict");
   EXPECT_THROW((void)registry().gauge("test.kind_conflict"), Error);
-  EXPECT_THROW((void)registry().histogram("test.kind_conflict", {1.0}),
-               Error);
-}
-
-TEST(Registry, HistogramBoundsConflictThrows) {
-  (void)registry().histogram("test.bounds_conflict", {1.0, 2.0, 3.0});
-  EXPECT_THROW(
-      (void)registry().histogram("test.bounds_conflict", {1.0, 2.0}),
-      Error);
-}
-
-TEST(Registry, HistogramRejectsUnsortedBounds) {
-  EXPECT_THROW((void)registry().histogram("test.bad_bounds", {2.0, 1.0}),
-               Error);
-  EXPECT_THROW((void)registry().histogram("test.dup_bounds", {1.0, 1.0}),
-               Error);
+  EXPECT_THROW((void)registry().histogram("test.kind_conflict"), Error);
 }
 
 TEST(Counter, IncrementsAndResets) {
@@ -76,28 +63,10 @@ TEST(Gauge, SetAddSub) {
   EXPECT_EQ(gauge.value(), -5);  // gauges are signed levels
 }
 
-TEST(Histogram, BucketsByUpperBoundWithInfOverflow) {
-  Histogram& hist =
-      registry().histogram("test.hist_buckets", {1.0, 10.0, 100.0});
-  hist.observe(0.5);    // <= 1
-  hist.observe(1.0);    // <= 1 (bounds are inclusive upper bounds)
-  hist.observe(7.0);    // <= 10
-  hist.observe(100.0);  // <= 100
-  hist.observe(1e9);    // +Inf bucket
-  const std::vector<std::uint64_t> counts = hist.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);  // 3 bounds + Inf
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(hist.count(), 5u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 0.5 + 1.0 + 7.0 + 100.0 + 1e9);
-}
-
 TEST(Registry, ConcurrentRecordingIsLossless) {
   Counter& counter = registry().counter("test.mt_counter");
   Gauge& gauge = registry().gauge("test.mt_gauge");
-  Histogram& hist = registry().histogram("test.mt_hist", {10.0, 100.0});
+  Histogram& hist = registry().histogram("test.mt_hist");
   counter.reset();
   gauge.reset();
   hist.reset();
@@ -119,10 +88,18 @@ TEST(Registry, ConcurrentRecordingIsLossless) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(counter.value(), kThreads * kPerThread);
   EXPECT_EQ(gauge.value(), kThreads * kPerThread);
-  EXPECT_EQ(hist.count(), kThreads * kPerThread);
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t n : hist.bucket_counts()) bucket_total += n;
-  EXPECT_EQ(bucket_total, hist.count());
+  const HistogramSnapshot snap = hist.snapshot();
+  EXPECT_EQ(snap.count(), kThreads * kPerThread);
+  // Exposition derives _count and +Inf from the same buckets.
+  MetricsSnapshot metrics;
+  metrics.histograms = {snap};
+  metrics.histograms[0].name = "test.mt_hist";
+  const std::string total = std::to_string(kThreads * kPerThread);
+  const std::string text = metrics.to_prometheus();
+  EXPECT_NE(text.find("muffin_test_mt_hist_bucket{le=\"+Inf\"} " + total),
+            std::string::npos);
+  EXPECT_NE(text.find("muffin_test_mt_hist_count " + total),
+            std::string::npos);
 }
 
 TEST(Snapshot, FindsRegisteredMetricsSorted) {
@@ -143,8 +120,7 @@ TEST(Snapshot, FindsRegisteredMetricsSorted) {
 
 TEST(Snapshot, PrometheusExpositionIsDeterministic) {
   registry().counter("test.prom_counter").inc(7);
-  (void)registry().histogram("test.prom_hist", {1.0, 5.0});
-  registry().histogram("test.prom_hist", {1.0, 5.0}).observe(3.0);
+  registry().histogram("test.prom_hist").observe(3.0);
   const MetricsSnapshot snap = registry().snapshot();
   const std::string text = snap.to_prometheus();
   // Names are prefixed and dot-mangled; histogram buckets cumulative
@@ -160,12 +136,13 @@ TEST(Snapshot, PrometheusExpositionIsDeterministic) {
 TEST(Snapshot, JsonExpositionContainsAllKinds) {
   registry().counter("test.json_counter").inc(3);
   registry().gauge("test.json_gauge").set(-4);
-  registry().histogram("test.json_hist", {2.0}).observe(1.0);
+  registry().histogram("test.json_hist").observe(1.0);
   const std::string json = registry().snapshot().to_json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"test.json_counter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"test.json_gauge\":-4"), std::string::npos);
-  EXPECT_NE(json.find("\"test.json_hist\""), std::string::npos);
+  EXPECT_NE(json.find("\"test.json_hist\":{\"count\":"), std::string::npos);
+  EXPECT_NE(json.find("\"buckets\":[[1,"), std::string::npos);
 }
 
 TEST(Registry, ResetZeroesButKeepsRegistrations) {
@@ -175,18 +152,6 @@ TEST(Registry, ResetZeroesButKeepsRegistrations) {
   EXPECT_EQ(counter.value(), 0u);
   // Same object after reset — references never dangle.
   EXPECT_EQ(&registry().counter("test.reset_counter"), &counter);
-}
-
-TEST(Buckets, SharedBucketHelpersAreSorted) {
-  for (const std::vector<double>& bounds :
-       {latency_us_buckets(), batch_size_buckets()}) {
-    ASSERT_FALSE(bounds.empty());
-    for (std::size_t i = 1; i < bounds.size(); ++i) {
-      EXPECT_LT(bounds[i - 1], bounds[i]);
-    }
-  }
-  EXPECT_DOUBLE_EQ(latency_us_buckets().front(), 1.0);
-  EXPECT_DOUBLE_EQ(batch_size_buckets().front(), 1.0);
 }
 
 TEST(Obs, CompiledInMatchesBuild) {

@@ -416,17 +416,18 @@ TEST(InferenceEngine, ShutdownDrainsAndRejectsNewWork) {
   engine.shutdown();  // idempotent
 }
 
-TEST(InferenceEngine, LatencyStatsCoverEveryRequest) {
+TEST(InferenceEngine, LatencyHistogramCoversEveryRequest) {
   const auto fused = make_fused(true);
   InferenceEngine engine(fused);
   std::span<const data::Record> records = engine_dataset().records();
   (void)engine.predict_batch(records.subspan(0, 128));
-  const LatencyStats::Snapshot snap = engine.latency().snapshot();
-  EXPECT_EQ(snap.count, 128u);
-  EXPECT_GT(snap.p50_us, 0.0);
-  EXPECT_LE(snap.p50_us, snap.p95_us);
-  EXPECT_LE(snap.p95_us, snap.p99_us);
-  EXPECT_LE(snap.p99_us, snap.max_us);
+  const obs::HistogramSnapshot snap = engine.latency().snapshot();
+  EXPECT_EQ(snap.count(), 128u);
+  EXPECT_GT(snap.quantile(0.50), 0.0);
+  EXPECT_LE(snap.quantile(0.50), snap.quantile(0.95));
+  EXPECT_LE(snap.quantile(0.95), snap.quantile(0.99));
+  EXPECT_LE(snap.quantile(0.99), snap.max());
+  EXPECT_GT(engine.elapsed_seconds(), 0.0);
 }
 
 }  // namespace

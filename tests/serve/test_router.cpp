@@ -281,23 +281,23 @@ TEST(ShardRouter, AggregateViewsCoverEveryShard) {
   EXPECT_EQ(total.requests, k);
   EXPECT_EQ(total.consensus_short_circuits + total.head_evaluations, k);
 
-  const LatencyStats::Snapshot merged = router.aggregate_latency();
-  EXPECT_EQ(merged.count, k);
-  EXPECT_GT(merged.p50_us, 0.0);
-  EXPECT_LE(merged.p50_us, merged.p99_us);
-  EXPECT_GT(merged.requests_per_second, 0.0);
+  const obs::HistogramSnapshot merged = router.aggregate_latency();
+  EXPECT_EQ(merged.count(), k);
+  EXPECT_GT(merged.quantile(0.50), 0.0);
+  EXPECT_LE(merged.quantile(0.50), merged.quantile(0.99));
+  EXPECT_GT(router.authoritative_stats().elapsed_seconds, 0.0);
 
   std::size_t routed = 0;
   std::size_t per_shard_count = 0;
   for (const ShardInfo& info : router.shard_infos()) {
     routed += info.routed;
-    per_shard_count += info.latency.count;
+    per_shard_count += info.latency.count();
     EXPECT_EQ(info.routed, info.counters.requests);
     // The merged max is at least every shard's max.
-    EXPECT_GE(merged.max_us, info.latency.max_us);
+    EXPECT_GE(merged.max(), info.latency.max());
   }
   EXPECT_EQ(routed, k);
-  EXPECT_EQ(per_shard_count, merged.count);
+  EXPECT_EQ(per_shard_count, merged.count());
 }
 
 TEST(ShardRouter, DisabledResultCacheNeverMemoizesThroughRouter) {
@@ -376,7 +376,7 @@ TEST(ShardRouter, PredictBatchQuiescesInFlightPrefixOnFailure) {
   // completed (latency recorded), not merely been enqueued. Without the
   // await this check races the engine's workers.
   EXPECT_EQ(router.aggregate_counters().requests, 12u);
-  EXPECT_EQ(router.aggregate_latency().count, 12u);
+  EXPECT_EQ(router.aggregate_latency().count(), 12u);
 
   // The router is immediately usable for records routed to live shards.
   const Prediction after = router.predict(batch[0]);
@@ -398,7 +398,7 @@ TEST(ShardRouter, RemovedReplicaStatsFreezeAtRemoval) {
   ASSERT_GT(before.counters.requests, 0u);
   ASSERT_GT(before.cache_entries, 0u);
   const EngineCounters total_before = router.aggregate_counters();
-  const std::size_t latency_before = router.aggregate_latency().count;
+  const std::size_t latency_before = router.aggregate_latency().count();
 
   router.remove_replica(removed);
 
@@ -408,11 +408,11 @@ TEST(ShardRouter, RemovedReplicaStatsFreezeAtRemoval) {
   EXPECT_EQ(after.counters.requests, before.counters.requests);
   EXPECT_EQ(after.counters.cache_hits, before.counters.cache_hits);
   EXPECT_EQ(after.cache_entries, before.cache_entries);
-  EXPECT_EQ(after.latency.count, before.latency.count);
+  EXPECT_EQ(after.latency.counts, before.latency.counts);
   EXPECT_EQ(after.routed, before.routed);
   // …and the aggregates still include the removed shard's history.
   EXPECT_EQ(router.aggregate_counters().requests, total_before.requests);
-  EXPECT_EQ(router.aggregate_latency().count, latency_before);
+  EXPECT_EQ(router.aggregate_latency().count(), latency_before);
 
   // The backend is retired: the engine view is gone for good.
   EXPECT_THROW((void)router.replica(removed), Error);
@@ -449,7 +449,7 @@ TEST(ShardRouter, RemoveReplicaMidFlightKeepsFrozenStatsConsistent) {
   const ShardInfo frozen = router.shard_infos()[victim];
   EXPECT_FALSE(frozen.alive);
   EXPECT_EQ(frozen.counters.requests, inflight.size());
-  EXPECT_EQ(frozen.latency.count, frozen.counters.requests)
+  EXPECT_EQ(frozen.latency.count(), frozen.counters.requests)
       << "latency recorded during the drain must be in the frozen view";
 }
 

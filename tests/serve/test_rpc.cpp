@@ -247,7 +247,7 @@ TEST(ShardRouterRpc, RemoteReplicasMatchFusedScores) {
     EXPECT_EQ(info.counters.requests, info.routed);
   }
   EXPECT_EQ(router.aggregate_counters().requests, records.size());
-  EXPECT_EQ(router.aggregate_latency().count, records.size());
+  EXPECT_EQ(router.aggregate_latency().count(), records.size());
   // replica() is an in-process-only view.
   EXPECT_THROW((void)router.replica(0), Error);
   router.shutdown();
@@ -546,12 +546,12 @@ TEST(RemoteShard, FetchStatsReturnsServerAuthoritativeCounters) {
             server_counters.head_evaluations);
   EXPECT_EQ(report.cache_entries, server.engine().cache_entries());
   EXPECT_GT(report.cache_entries, 0u);  // repeats populated the memo
-  // Server-measured latency travels whole: exact aggregates plus the
-  // percentile reservoir (complete below capacity).
-  EXPECT_EQ(report.latency.count, 150u);
-  EXPECT_EQ(report.latency.samples_us.size(), 150u);
-  EXPECT_GT(report.latency.max_us, 0.0);
-  EXPECT_GT(report.latency.elapsed_seconds, 0.0);
+  // Server-measured latency travels whole: the server engine's own
+  // histogram, bucket for bucket.
+  EXPECT_EQ(report.latency.count(), 150u);
+  EXPECT_EQ(report.latency.counts, server.engine().latency().snapshot().counts);
+  EXPECT_GT(report.latency.max(), 0.0);
+  EXPECT_GT(report.elapsed_seconds, 0.0);
   // The registry snapshot rides along; servers and tests share this
   // process's registry here, so only presence/consistency is asserted.
   const obs::CounterSnapshot* engine_requests =
@@ -608,13 +608,14 @@ TEST(ShardRouterRpc, AuthoritativeStatsFoldsServerSideAccounting) {
 
   const StatsReport fleet = router.authoritative_stats();
   // Server-side totals across both shards account for exactly the routed
-  // traffic, and the latency reservoir is the union of what the two
-  // SERVERS measured (120 entries — client-observed stats would also
-  // have 120, but these travel over the Stats RPC; the per-server checks
-  // below pin that).
+  // traffic, and the latency histogram is the bucket-wise sum of what the
+  // two SERVERS measured (client-observed stats would also count 120, but
+  // they would hold the client's round trips, not these buckets).
   EXPECT_EQ(fleet.counters.requests, 120u);
-  EXPECT_EQ(fleet.latency.count, 120u);
-  EXPECT_EQ(fleet.latency.samples_us.size(), 120u);
+  EXPECT_EQ(fleet.latency.count(), 120u);
+  obs::HistogramSnapshot servers = server_a.engine().latency().snapshot();
+  servers.merge(server_b.engine().latency().snapshot());
+  EXPECT_EQ(fleet.latency.counts, servers.counts);
   EXPECT_EQ(fleet.counters.requests,
             server_a.engine().counters().requests +
                 server_b.engine().counters().requests);

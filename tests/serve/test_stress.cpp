@@ -91,7 +91,7 @@ TEST(ShardRouterStress, ConcurrentClientsAreBitIdentical) {
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(router.aggregate_counters().requests, kClients * kPerClient);
-  EXPECT_EQ(router.aggregate_latency().count, kClients * kPerClient);
+  EXPECT_EQ(router.aggregate_latency().count(), kClients * kPerClient);
 }
 
 TEST(ShardRouterStress, TopologyChurnDuringTraffic) {
@@ -166,9 +166,9 @@ TEST(ShardRouterStress, ObserversDoNotDisturbServing) {
       const std::vector<ShardInfo> infos = router.shard_infos();
       std::size_t routed = 0;
       for (const ShardInfo& info : infos) routed += info.routed;
-      const LatencyStats::Snapshot merged = router.aggregate_latency();
+      const obs::HistogramSnapshot merged = router.aggregate_latency();
       // Monotonic sanity only: totals never run backwards mid-flight.
-      EXPECT_LE(merged.count, router.aggregate_counters().requests);
+      EXPECT_LE(merged.count(), router.aggregate_counters().requests);
       (void)routed;
       (void)router.shard_for(records[0].uid);
     }

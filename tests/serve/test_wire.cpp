@@ -9,7 +9,10 @@
 //     muffin::Error before any over-read or over-allocation.
 //  3. Decoding never trusts the peer: every truncation point of a valid
 //     frame and a fuzz battery of random payloads must throw or decode,
-//     never crash or over-read.
+//     never crash or over-read. Histogram bucket indices out of range or
+//     out of order, and bucket counts that overflow, are refused.
+//  4. A StatsResponse stays small however long the engine has served:
+//     its latency travels as sparse bucket counts.
 #include "serve/rpc/wire.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "data/serialize.h"
+#include "serve_test_util.h"
 
 namespace muffin::serve::rpc {
 namespace {
@@ -361,6 +365,12 @@ TEST(Wire, FuzzedPayloadsNeverCrash) {
   }
 }
 
+obs::HistogramSnapshot histogram_of(std::initializer_list<double> values) {
+  obs::Histogram histogram;
+  for (const double v : values) histogram.record(v);
+  return histogram.snapshot();
+}
+
 StatsReport make_stats_report() {
   StatsReport report;
   report.counters.requests = 12345;
@@ -369,23 +379,40 @@ StatsReport make_stats_report() {
   report.counters.consensus_short_circuits = 11;
   report.counters.head_evaluations = 1213;
   report.cache_entries = 1415;
-  report.latency.count = 5;
-  report.latency.sum_us = 123.5;
-  report.latency.max_us = 99.25;
-  report.latency.elapsed_seconds = 3.75;
-  report.latency.samples_us = {1.5, 2.25, 20.0, 99.25, 0.5};
+  report.elapsed_seconds = 3.75;
+  report.latency = histogram_of({1.5, 2.25, 20.0, 99.25, 0.5, 1e7});
   report.metrics.counters = {{"engine.requests", 12345},
                              {"rpc.server.frames_received", 42}};
   report.metrics.gauges = {{"batcher.depth", -3},
                            {"rpc.server.open_connections", 2}};
-  obs::HistogramSnapshot hist;
+  obs::HistogramSnapshot hist = histogram_of({1, 1, 1, 1, 8, 8, 8, 32, 32});
   hist.name = "engine.batch_size";
-  hist.bounds = {1.0, 8.0, 32.0};
-  hist.counts = {4, 3, 2, 1};  // per-bucket, last is +Inf
-  hist.count = 10;
-  hist.sum = 161.5;
   report.metrics.histograms = {hist};
   return report;
+}
+
+/// The payload (header stripped) of a StatsResponse for `report`.
+std::vector<std::uint8_t> stats_payload(const StatsReport& report) {
+  std::vector<std::uint8_t> frame = encode_stats_response(1, report);
+  frame.erase(frame.begin(), frame.begin() + kHeaderBytes);
+  return frame;
+}
+
+/// A StatsResponse payload up to and including the latency histogram,
+/// which is hand-built from (bucket, count) pairs; empty metrics follow.
+std::vector<std::uint8_t> payload_with_latency(
+    const std::vector<std::pair<std::uint16_t, std::uint64_t>>& buckets) {
+  std::vector<std::uint8_t> payload;
+  for (int i = 0; i < 6; ++i) common::put_u64(payload, 1);  // counters+cache
+  common::put_f64(payload, 1.0);                            // elapsed
+  common::put_u16(payload, static_cast<std::uint16_t>(buckets.size()));
+  for (const auto& [bucket, count] : buckets) {
+    common::put_u16(payload, bucket);
+    common::put_u64(payload, count);
+  }
+  common::put_f64(payload, 0.0);  // sum
+  for (int kind = 0; kind < 3; ++kind) common::put_u32(payload, 0);
+  return payload;
 }
 
 TEST(Wire, StatsRequestIsAnEmptyPayloadControlFrame) {
@@ -413,12 +440,9 @@ TEST(Wire, StatsResponseRoundTripsEveryField) {
   EXPECT_EQ(decoded.counters.head_evaluations,
             report.counters.head_evaluations);
   EXPECT_EQ(decoded.cache_entries, report.cache_entries);
-  EXPECT_EQ(decoded.latency.count, report.latency.count);
-  EXPECT_DOUBLE_EQ(decoded.latency.sum_us, report.latency.sum_us);
-  EXPECT_DOUBLE_EQ(decoded.latency.max_us, report.latency.max_us);
-  EXPECT_DOUBLE_EQ(decoded.latency.elapsed_seconds,
-                   report.latency.elapsed_seconds);
-  EXPECT_EQ(decoded.latency.samples_us, report.latency.samples_us);
+  EXPECT_EQ(decoded.elapsed_seconds, report.elapsed_seconds);
+  EXPECT_EQ(decoded.latency.counts, report.latency.counts);
+  EXPECT_EQ(decoded.latency.sum, report.latency.sum);
   ASSERT_EQ(decoded.metrics.counters.size(), 2u);
   EXPECT_EQ(decoded.metrics.counters[0].name, "engine.requests");
   EXPECT_EQ(decoded.metrics.counters[0].value, 12345u);
@@ -427,12 +451,10 @@ TEST(Wire, StatsResponseRoundTripsEveryField) {
   EXPECT_EQ(decoded.metrics.gauges[0].value, -3);  // signed across the wire
   ASSERT_EQ(decoded.metrics.histograms.size(), 1u);
   EXPECT_EQ(decoded.metrics.histograms[0].name, "engine.batch_size");
-  EXPECT_EQ(decoded.metrics.histograms[0].bounds,
-            report.metrics.histograms[0].bounds);
   EXPECT_EQ(decoded.metrics.histograms[0].counts,
             report.metrics.histograms[0].counts);
-  EXPECT_EQ(decoded.metrics.histograms[0].count, 10u);
-  EXPECT_DOUBLE_EQ(decoded.metrics.histograms[0].sum, 161.5);
+  EXPECT_EQ(decoded.metrics.histograms[0].count(), 9u);
+  EXPECT_EQ(decoded.metrics.histograms[0].sum, 92.0);
 }
 
 TEST(Wire, EmptyStatsResponseRoundTrips) {
@@ -441,8 +463,8 @@ TEST(Wire, EmptyStatsResponseRoundTrips) {
   const StatsReport decoded = decode_stats_response(
       {frame.data() + kHeaderBytes, frame.size() - kHeaderBytes});
   EXPECT_EQ(decoded.counters.requests, 0u);
-  EXPECT_EQ(decoded.latency.count, 0u);
-  EXPECT_TRUE(decoded.latency.samples_us.empty());
+  EXPECT_EQ(decoded.latency.count(), 0u);
+  EXPECT_EQ(decoded.latency.sum, 0.0);
   EXPECT_TRUE(decoded.metrics.counters.empty());
 }
 
@@ -458,40 +480,107 @@ TEST(Wire, TruncatedStatsResponseThrowsAtEveryCut) {
   EXPECT_NO_THROW((void)decode_stats_response(payload));
 }
 
-TEST(Wire, StatsResponseRejectsInconsistentLatencyExport) {
-  // count > 0 with an empty reservoir would divide by zero inside
-  // LatencyStats::merge_export; the decoder must refuse to construct it.
-  StatsReport no_samples = make_stats_report();
-  no_samples.latency.samples_us.clear();
-  std::vector<std::uint8_t> frame = encode_stats_response(1, no_samples);
-  EXPECT_THROW((void)decode_stats_response(
-                   {frame.data() + kHeaderBytes,
-                    frame.size() - kHeaderBytes}),
-               Error);
+TEST(Wire, HistogramCodecRoundTripIsExact) {
+  // Decoding what was encoded must change no merged number: the wire
+  // histogram merges exactly like the one it was encoded from.
+  obs::Histogram source;
+  std::uint64_t state = 0x415;
+  for (int i = 0; i < 5000; ++i) {
+    source.record(static_cast<double>(splitmix64_next(state) % 100000) / 7.0);
+  }
+  StatsReport report;
+  report.latency = source.snapshot();
+  const StatsReport decoded = decode_stats_response(stats_payload(report));
+  EXPECT_EQ(decoded.latency.counts, report.latency.counts);
+  EXPECT_EQ(decoded.latency.sum, report.latency.sum);
+  obs::HistogramSnapshot via_wire = report.latency;
+  via_wire.merge(decoded.latency);
+  obs::HistogramSnapshot direct = report.latency;
+  direct.merge(report.latency);
+  EXPECT_EQ(via_wire.counts, direct.counts);
+  EXPECT_EQ(via_wire.quantile(0.99), direct.quantile(0.99));
+}
 
-  // A reservoir larger than the request count is impossible (it is a
-  // subsample) and would distort merge weighting.
-  StatsReport inflated = make_stats_report();
-  inflated.latency.count = 2;  // but 5 samples travel
-  frame = encode_stats_response(1, inflated);
+TEST(Wire, HistogramRejectsBucketIndexOutOfRange) {
+  const auto last = static_cast<std::uint16_t>(obs::kHistogramBuckets - 1);
+  const auto past = static_cast<std::uint16_t>(obs::kHistogramBuckets);
+  EXPECT_NO_THROW(
+      (void)decode_stats_response(payload_with_latency({{last, 1}})));
+  EXPECT_THROW(
+      (void)decode_stats_response(payload_with_latency({{past, 1}})),
+      Error);
+  EXPECT_THROW(
+      (void)decode_stats_response(payload_with_latency({{0xFFFF, 1}})),
+      Error);
+}
+
+TEST(Wire, HistogramRejectsBucketIndicesOutOfOrder) {
+  EXPECT_NO_THROW(
+      (void)decode_stats_response(payload_with_latency({{3, 1}, {9, 2}})));
+  EXPECT_THROW(
+      (void)decode_stats_response(payload_with_latency({{9, 2}, {3, 1}})),
+      Error);
+  // A repeated index would double-count one bucket.
+  EXPECT_THROW(
+      (void)decode_stats_response(payload_with_latency({{3, 1}, {3, 1}})),
+      Error);
+}
+
+TEST(Wire, StatsResponseRejectsInconsistentLatencyExport) {
+  // Bucket counts whose total overflows u64 describe no real traffic, and
+  // would wrap every count and quantile derived from them.
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_NO_THROW((void)decode_stats_response(
+      payload_with_latency({{1, max - 1}, {2, 1}})));
   EXPECT_THROW((void)decode_stats_response(
-                   {frame.data() + kHeaderBytes,
-                    frame.size() - kHeaderBytes}),
+                   payload_with_latency({{1, max}, {2, 1}})),
                Error);
+}
+
+TEST(Wire, StatsResponseRejectsTooManyHistograms) {
+  // A decoded histogram holds every bucket whatever its wire size, so the
+  // histogram count is capped, not only checked against the frame bytes.
+  std::vector<std::uint8_t> payload = payload_with_latency({});
+  payload.resize(payload.size() - 4);  // drop the zero histogram count
+  common::put_u32(payload,
+                  static_cast<std::uint32_t>(kMaxStatsHistograms + 1));
+  for (std::size_t i = 0; i <= kMaxStatsHistograms; ++i) {
+    common::put_u16(payload, 0);    // empty name
+    common::put_u16(payload, 0);    // no buckets
+    common::put_f64(payload, 0.0);  // sum
+  }
+  EXPECT_THROW((void)decode_stats_response(payload), Error);
 }
 
 TEST(Wire, LyingStatsCountsFailBeforeAllocation) {
   // Hand-built payload: valid counters/latency, then a metrics section
   // claiming 2^32-1 registered counters in a few bytes.
-  std::vector<std::uint8_t> payload;
-  for (int i = 0; i < 6; ++i) common::put_u64(payload, 1);  // counters+cache
-  common::put_u64(payload, 0);                              // latency count
-  common::put_f64(payload, 0.0);                            // sum
-  common::put_f64(payload, 0.0);                            // max
-  common::put_f64(payload, 0.0);                            // elapsed
-  common::put_u32(payload, 0);                              // no samples
-  common::put_u32(payload, 0xFFFF'FFFFU);                   // counter count
+  std::vector<std::uint8_t> payload = payload_with_latency({});
+  payload.resize(payload.size() - 12);  // drop the three metric counts
+  common::put_u32(payload, 0xFFFF'FFFFU);  // counter count
   EXPECT_THROW((void)decode_stats_response(payload), Error);
+  // The same lie in the latency histogram's bucket count.
+  payload = payload_with_latency({});
+  payload[6 * 8 + 8] = 0xFF;
+  payload[6 * 8 + 9] = 0xFF;
+  EXPECT_THROW((void)decode_stats_response(payload), Error);
+}
+
+TEST(Wire, StatsResponseStaysSmallAfterSeventyThousandRequests) {
+  // Latency travels as sparse bucket counts, so a shard server's
+  // StatsResponse stays a few KB however many requests it has served.
+  const data::Dataset dataset = data::synthetic_isic2019(400, 91);
+  const models::ModelPool pool = models::calibrated_isic_pool(dataset);
+  InferenceEngine engine(
+      testutil::build_fused(pool, dataset, /*epochs=*/2));
+  const std::span<const data::Record> records = dataset.records();
+  for (std::size_t served = 0; served < 70000; served += records.size()) {
+    (void)engine.predict_batch(records);
+  }
+  StatsReport report = engine_stats(engine);
+  report.metrics = obs::registry().snapshot();
+  ASSERT_GE(report.latency.count(), 70000u);
+  EXPECT_LT(encode_stats_response(1, report).size(), 16u * 1024u);
 }
 
 TEST(Wire, FuzzedStatsPayloadsNeverCrash) {
