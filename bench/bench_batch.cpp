@@ -6,9 +6,10 @@
 //             matmul_into and the transposed-B kernels against a local
 //             naive i-k-j reference (guards the scalar fallback against
 //             regression), plus the SIMD backend section — scalar vs
-//             runtime-dispatched SIMD vs SIMD+shared-pool row split on
-//             serving shapes, in GFLOP/s, gated at >= 3x (full mode, AVX2
-//             hosts) on matmul_transposed_b_bias_into.
+//             the runtime-dispatched SIMD kernel vs the public entry
+//             point matmul_transposed_b_bias_into on serving shapes, in
+//             GFLOP/s, gated at >= 3x scalar (full mode, AVX2 hosts) and
+//             at >= 0.95x the direct kernel (every mode).
 //   head      nn::Mlp forward: per-record forward_inference loop vs one
 //             forward_batch_inference GEMM, across batch sizes.
 //   memory    the memory-lean shard budget: ScoreCache footprint and
@@ -239,18 +240,19 @@ int main(int argc, char** argv) {
   // The batch-first serving hot loop is matmul_transposed_b_bias_into on
   // tall-skinny activations. Three configurations per shape, all asserted
   // bit-identical first:
-  //   scalar        the portable 2x4-tile kernel, serial (the PR 3 path)
-  //   simd          the runtime-dispatched backend, serial
-  //   simd+threads  the public entry point: dispatched backend plus the
-  //                 shared-pool row split (what serving actually runs)
-  // Acceptance (full mode, SIMD-capable hosts): simd+threads >= 3x scalar
-  // at the batch >= 64 serving shapes with full vector-lane occupancy
-  // (m % 8 == 0 — wide heads / many-body structures). The 18-wide
-  // 2-body head layer fills only 18 of 24 lanes (75%), and since the
-  // bit-identity contract forbids FMA inside reductions the FP-ALU
-  // ceiling bounds that shape below 3x on a single core — it is floored
-  // at 2.5x serial and clears 3x with the thread split on multi-core
-  // hosts. Scalar-only hosts report and skip the gates.
+  //   scalar   the portable 2x4-tile kernel, called directly
+  //   simd     the runtime-dispatched backend, called directly
+  //   public   the public entry point matmul_transposed_b_bias_into: shape
+  //            checks plus one call of the dispatched kernel on the
+  //            calling thread (what serving actually runs)
+  // Acceptance (full mode, SIMD-capable hosts): public >= 3x scalar at the
+  // batch >= 64 serving shapes with full vector-lane occupancy (m % 8 ==
+  // 0 — wide heads / many-body structures). The 18-wide 2-body head layer
+  // fills only 18 of 24 lanes (75%), and since the bit-identity contract
+  // forbids FMA inside reductions the FP-ALU ceiling bounds that shape
+  // below 3x — it is floored at 2.5x. Scalar-only hosts report and skip
+  // those floors. In every mode and on every backend, public >= 0.95x
+  // simd: the entry point may cost no more than its checks.
   {
     struct GemmShape {
       std::size_t n, depth, m;
@@ -282,16 +284,10 @@ int main(int argc, char** argv) {
     json.add_string("kernels.muffin_threads",
                     threads_env != nullptr ? threads_env : "auto");
     json.add("kernels.pool_degenerate", pool_threads == 1);
-    if (!smoke && pool_threads == 1) {
-      std::cout << "WARNING: worker pool has a single thread ("
-                << (threads_env != nullptr
-                        ? std::string("MUFFIN_THREADS=") + threads_env
-                        : std::string("single-core host"))
-                << "); full-mode numbers measure the serial path and "
-                   "row-split speedups will read as ~1x.\n\n";
-    }
+    constexpr double kPublicVsSimdFloor = 0.95;
+    json.add("kernels.public_vs_simd_floor", kPublicVsSimdFloor);
     TextTable simd_table({"A*B^T+bias shape", "scalar GF/s", "simd GF/s",
-                          "simd+threads GF/s", "speedup"});
+                          "public GF/s", "speedup", "public/simd"});
     const tensor::detail::KernelTable& scalar_table =
         tensor::detail::scalar_kernels();
     const tensor::detail::KernelTable& active_table =
@@ -310,7 +306,7 @@ int main(int argc, char** argv) {
 
       tensor::Matrix out_scalar(shape.n, shape.m);
       tensor::Matrix out_simd(shape.n, shape.m);
-      tensor::Matrix out_threads;
+      tensor::Matrix out_public;
       const auto run_scalar = [&]() {
         scalar_table.gemm_tb(a.flat().data(), a.stride(), w.flat().data(),
                              w.stride(), bias.data(),
@@ -323,15 +319,15 @@ int main(int argc, char** argv) {
                              out_simd.stride(), shape.n, shape.m,
                              shape.depth);
       };
-      const auto run_threads = [&]() {
-        tensor::matmul_transposed_b_bias_into(a, w, bias, out_threads);
+      const auto run_public = [&]() {
+        tensor::matmul_transposed_b_bias_into(a, w, bias, out_public);
       };
 
       run_scalar();
       run_simd();
-      run_threads();
+      run_public();
       if (!bitwise_equal(out_scalar, out_simd) ||
-          !bitwise_equal(out_scalar, out_threads)) {
+          !bitwise_equal(out_scalar, out_public)) {
         std::cout << "FAIL: kernel backends diverge bitwise at "
                   << shape.label << "\n";
         pass = false;
@@ -340,49 +336,76 @@ int main(int argc, char** argv) {
       // Interleaved best-of timing: each round measures all three
       // configurations back to back, so frequency drift and noisy-
       // neighbour stalls on shared hosts hit every configuration alike
-      // instead of biasing the ratio.
+      // instead of biasing the ratio. public/simd compares two runs of
+      // the same kernel, so it is the median of per-round paired ratios:
+      // an untimed warm-up pass follows the scalar kernel (the first
+      // vector pass after it reads 10-25% slow at these microsecond
+      // shapes) and the pair's order alternates, so neither a cold start
+      // nor one stalled round can move the ratio.
       const auto time_once = [&](const auto& body) {
         const Clock::time_point start = Clock::now();
         for (std::size_t it = 0; it < inner_iters; ++it) body();
         return seconds_since(start) / static_cast<double>(inner_iters);
       };
-      const std::size_t rounds = smoke ? 12 : 40;
-      double t_scalar = 1e300, t_simd = 1e300, t_threads = 1e300;
+      const std::size_t rounds = 40;
+      double t_scalar = 1e300, t_simd = 1e300, t_public = 1e300;
+      std::vector<double> paired_ratios;
       for (std::size_t round = 0; round < rounds; ++round) {
         t_scalar = std::min(t_scalar, time_once(run_scalar));
-        t_simd = std::min(t_simd, time_once(run_simd));
-        t_threads = std::min(t_threads, time_once(run_threads));
+        (void)time_once(run_simd);
+        double simd_s = 0.0, public_s = 0.0;
+        if (round % 2 == 0) {
+          simd_s = time_once(run_simd);
+          public_s = time_once(run_public);
+        } else {
+          public_s = time_once(run_public);
+          simd_s = time_once(run_simd);
+        }
+        t_simd = std::min(t_simd, simd_s);
+        t_public = std::min(t_public, public_s);
+        paired_ratios.push_back(simd_s / public_s);
       }
-      const double speedup = t_scalar / t_threads;
+      const double speedup = t_scalar / t_public;
+      std::sort(paired_ratios.begin(), paired_ratios.end());
+      const double public_vs_simd =
+          0.5 * (paired_ratios[(rounds - 1) / 2] + paired_ratios[rounds / 2]);
 
       const double simd_floor =
           smoke ? 1.4 : (shape.full_lanes ? 3.0 : 2.5);
       simd_table.add_row({shape.label,
                           format_fixed(flops / t_scalar / 1e9, 2),
                           format_fixed(flops / t_simd / 1e9, 2),
-                          format_fixed(flops / t_threads / 1e9, 2),
-                          format_fixed(speedup, 2) + "x"});
+                          format_fixed(flops / t_public / 1e9, 2),
+                          format_fixed(speedup, 2) + "x",
+                          format_fixed(public_vs_simd, 3)});
       const std::string key = std::string("kernels.gemm_bias.") + shape.label;
       json.add(key + ".scalar_gflops", flops / t_scalar / 1e9);
       json.add(key + ".simd_gflops", flops / t_simd / 1e9);
-      json.add(key + ".simd_threads_gflops", flops / t_threads / 1e9);
+      json.add(key + ".public_gflops", flops / t_public / 1e9);
       json.add(key + ".speedup_vs_scalar", speedup);
       json.add(key + ".floor", simd_floor);
+      json.add(key + ".public_vs_simd", public_vs_simd);
 
       if (simd && speedup < simd_floor) {
-        std::cout << "FAIL: simd+threads " << format_fixed(speedup, 2)
-                  << "x below the " << format_fixed(simd_floor, 2)
+        std::cout << "FAIL: public entry " << format_fixed(speedup, 2)
+                  << "x scalar, below the " << format_fixed(simd_floor, 2)
                   << "x floor at " << shape.label << "\n";
+        pass = false;
+      }
+      if (public_vs_simd < kPublicVsSimdFloor) {
+        std::cout << "FAIL: public entry at " << format_fixed(public_vs_simd, 3)
+                  << "x the direct kernel, below the "
+                  << format_fixed(kPublicVsSimdFloor, 2) << "x floor at "
+                  << shape.label << "\n";
         pass = false;
       }
     }
     simd_table.print(std::cout);
     std::cout << (simd ? "full-lane serving shapes gate at >= 3x; the "
                          "18-wide head shapes occupy 75% of the vector "
-                         "lanes and gate at >= 2.5x serial (threads carry "
-                         "them past 3x on multi-core hosts)\n"
+                         "lanes and gate at >= 2.5x\n"
                        : "scalar backend active: speedup floors skipped\n")
-              << "\n";
+              << "public/simd gates at >= 0.95 on every shape\n\n";
   }
 
   // --- head forward -----------------------------------------------------

@@ -3,17 +3,19 @@
 // parallel_for(n, grain, body) splits the index range [0, n) into
 // contiguous blocks of at least `grain` indices and runs
 // body(begin, end) for each block, using the shared pool returned by
-// global_pool(). It is the one threading primitive the hot paths use:
-// GEMM row-blocks (tensor/ops.cpp), CalibratedModel / FusedModel
-// score_batch row splits, and anything later that needs data
-// parallelism — all drawing from the same pool as the serving engine
-// and MuffinSearch, so components never compete with per-call threads.
+// global_pool(). It is the one data-parallel primitive the hot paths
+// use: CalibratedModel / FusedModel score_batch record splits, and
+// anything later whose per-index work is heavy enough to pay for a pool
+// hop — all drawing from the same pool as the serving engine and
+// MuffinSearch, so components never compete with per-call threads.
+// (GEMMs do not split: at Muffin's head shapes a row is far cheaper than
+// waking a worker, so tensor/ops.cpp runs each kernel on the caller.)
 //
 // Guarantees:
 //  * Every index in [0, n) is covered by exactly one body(begin, end)
 //    call with begin < end; blocks are contiguous and ascending per call
 //    site. Work that makes each output element entirely inside one block
-//    (e.g. GEMM row-blocks) is therefore bit-identical to a serial run.
+//    (e.g. one record's scores) is therefore bit-identical to a serial run.
 //  * The calling thread participates: one block always runs inline, so a
 //    one-worker pool (or an empty queue slot) never deadlocks a caller.
 //  * Nested use is safe and serial: when the caller is already a pool

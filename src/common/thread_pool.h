@@ -6,9 +6,9 @@
 // to whoever awaits the job instead of crashing the process. The pool is
 // the shared threading substrate of the codebase: the serving engine drains
 // batch backlogs on it, MuffinSearch evaluates controller batches on it,
-// and parallel_for (common/parallel_for.h) splits kernel row-blocks over
-// it. It lives in common (not serve) so the tensor layer can partition
-// GEMMs without depending on the serving runtime.
+// and parallel_for (common/parallel_for.h) splits score_batch records over
+// it. It lives in common (not serve) so the models layer can use it
+// without depending on the serving runtime.
 //
 // Workers are numbered 0..size()-1; current_worker() returns the index of
 // the pool worker executing the current job (or npos outside a worker).

@@ -150,9 +150,9 @@ SearchResult MuffinSearch::run() {
   SplitRng sample_rng = SplitRng(config_.seed).fork("controller-sampling");
 
   // Controller batches evaluate on the process-wide shared pool — the
-  // same one the serving engine and the kernel-level parallel_for use —
+  // same one the serving engine and the score_batch parallel_for use —
   // so a search running next to a serving tier queues work instead of
-  // spawning competing threads. (Episode jobs that reach a kernel split
+  // spawning competing threads. (Episode jobs that reach a record split
   // run it inline: parallel_for detects pool workers and stays serial.)
   common::ThreadPool* pool =
       config_.parallel ? &common::global_pool() : nullptr;

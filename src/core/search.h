@@ -11,9 +11,9 @@
 // final reporting in the benches is on the untouched test split. Episodes
 // within one controller batch are evaluated in parallel on the shared
 // process-wide worker pool (common::global_pool(), also used by the
-// serving engine and the kernel parallel_for) — structure evaluation is
-// embarrassingly parallel and
-// all shared state (score caches, proxy) is read-only. Results are
+// serving engine and the score_batch parallel_for) — structure
+// evaluation is embarrassingly parallel and all shared state (score
+// caches, proxy) is read-only. Results are
 // bit-identical to the sequential loop because every episode derives its
 // seed from its index.
 #pragma once

@@ -188,7 +188,10 @@ void RemoteShard::send_batch(std::vector<ClientRequest> batch) {
           throw;  // the outer catch sweeps this connection
         }
         connect_failures_ = 0;
-        metrics.reconnects.inc();
+        // The first lazy dial of a pooled connection is start-up, not
+        // churn: only a connection that had been up counts as a re-dial.
+        if (connection.was_up) metrics.reconnects.inc();
+        connection.was_up = true;
         {
           const std::lock_guard<std::mutex> lock(connection.mutex);
           connection.dead = false;

@@ -162,6 +162,7 @@ class RemoteShard final : public ReplicaBackend {
     std::mutex mutex;  ///< guards pending and dead
     std::deque<PendingBatch> pending;
     bool dead = true;  ///< (re)connected lazily by the dispatcher
+    bool was_up = false;  ///< dispatcher-only: a dial after this is a re-dial
     std::thread reader;
   };
 

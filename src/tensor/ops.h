@@ -8,10 +8,11 @@
 // matmul_transposed_b_bias_into and softmax_into — execute through the
 // runtime-dispatched SIMD backend layer (tensor/simd.h: AVX2 when compiled
 // in and reported by CPUID, scalar otherwise, MUFFIN_SIMD=off forces
-// scalar) and split GEMM row-blocks over the shared worker pool
-// (common/parallel_for.h) above a size threshold. Both are bit-invisible:
-// every backend and every partition produces bit-identical output to the
-// serial scalar kernels.
+// scalar). Each GEMM runs its kernel once over all rows on the calling
+// thread; parallelism lives one level up (records, batches, episodes),
+// where a unit of work is heavy enough to pay for a pool hop. Dispatch is
+// bit-invisible: every backend produces bit-identical output to the scalar
+// kernels.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +57,8 @@ void matmul_transposed_b_bias_into(const Matrix& a, const double* b,
 
 /// C = A * dequant(B)^T + bias through the active backend's dequantizing
 /// GEMM entry (tensor/simd.h): the quantized-inference forward. Same
-/// row-split parallelism and bit-identity guarantees as the float GEMM —
-/// within one quant mode, every backend, partition and batch size yields
+/// calling-thread execution and bit-identity guarantees as the float GEMM —
+/// within one quant mode, every backend and batch size yields
 /// bit-identical rows. Requires b.mode != QuantMode::Off and
 /// a.cols() == b.depth.
 void matmul_transposed_b_bias_quant_into(const Matrix& a,

@@ -173,11 +173,11 @@ TEST(ParallelFor, ConcurrentCallersBothComplete) {
 }
 
 TEST(ParallelFor, PartitionedGemmBitIdenticalToSerialKernel) {
-  // The GEMM wrappers split rows over this pool; every output element is
-  // produced inside exactly one block, so the result must equal a serial
-  // kernel invocation bit for bit — on any pool size and any backend.
+  // The GEMM wrappers call their kernel once over all rows on the calling
+  // thread, so the result must equal a direct serial kernel invocation bit
+  // for bit — on any pool size and any backend.
   SplitRng rng(77);
-  tensor::Matrix a(513, 24);  // odd row count spanning many grains
+  tensor::Matrix a(513, 24);  // odd row count
   tensor::Matrix w(19, 24);
   tensor::Vector bias(19);
   for (double& v : a.flat()) v = rng.normal(0.0, 1.0);

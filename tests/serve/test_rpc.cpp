@@ -31,7 +31,9 @@
 #include <thread>
 
 #include "common/error.h"
+#include "common/failpoint.h"
 #include "data/serialize.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/router.h"
 #include "serve/rpc/server.h"
@@ -215,6 +217,53 @@ TEST(RemoteShard, DeadServerFailsFuturesAndCountsFailures) {
   EXPECT_GE(shard.consecutive_failures(), 1u);
   EXPECT_FALSE(shard.probe());
   shard.shutdown();
+}
+
+TEST(RemoteShard, FirstDialIsNotAReconnect) {
+  if (!obs::compiled_in() || !fail::compiled_in()) {
+    GTEST_SKIP() << "needs the metrics registry and failpoints compiled in";
+  }
+  const auto reconnects = []() {
+    const obs::MetricsSnapshot snap = obs::registry().snapshot();
+    const obs::CounterSnapshot* counter =
+        snap.find_counter("rpc.client.reconnects");
+    return counter != nullptr ? counter->value : 0;
+  };
+  const auto fused = make_fused();
+  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::RemoteShard shard(server.address(), fast_client());
+  std::span<const data::Record> records = rpc_dataset().records();
+  const std::uint64_t before = reconnects();
+
+  // One request at a time makes one batch each, sent round-robin: four
+  // batches dial both pooled connections once and reuse each once.
+  for (std::size_t i = 0; i < 4; ++i) (void)shard.submit(records[i]).get();
+  ASSERT_EQ(server.connections_accepted(), 2u);
+  EXPECT_EQ(reconnects(), before) << "a first dial counted as a re-dial";
+
+  {
+    // The next batch lands on connection 0; its server reader then hits
+    // the failpoint and drops that one connection. The batch itself may
+    // or may not be answered first.
+    const fail::ScopedFailpoints drop("rpc.server.recv=error");
+    try {
+      (void)shard.submit(records[4]).get();
+    } catch (const Error&) {
+    }
+    ASSERT_TRUE(eventually([&]() { return server.open_connections() == 1; }));
+  }
+  std::this_thread::sleep_for(100ms);  // let the client see the close
+  // Connection 1 is still up; connection 0 is re-dialed exactly once.
+  for (std::size_t i = 5; i < 9; ++i) {
+    try {
+      (void)shard.submit(records[i]).get();
+    } catch (const Error&) {
+    }
+  }
+  EXPECT_EQ(server.connections_accepted(), 3u);
+  EXPECT_EQ(reconnects(), before + 1);
+  shard.shutdown();
+  server.stop();
 }
 
 TEST(ShardRouterRpc, RemoteReplicasMatchFusedScores) {

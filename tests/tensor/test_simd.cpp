@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 
 namespace muffin::tensor {
@@ -235,8 +237,9 @@ TEST(SimdDispatch, ActiveBackendHonorsEnvironment) {
 }
 
 TEST(SimdDispatch, PublicKernelsMatchScalarReferenceBitwise) {
-  // Whatever backend dispatch picked (including the row-parallel split in
-  // the wrappers), the public entry points must equal a serial scalar run.
+  // Whatever backend dispatch picked, the public entry points (which call
+  // it once over all rows on the calling thread) must equal a serial
+  // scalar run.
   const Matrix a = random_matrix(97, 23, 41);
   const Matrix w = random_matrix(13, 23, 43);
   const Vector bias = random_vector(13, 47);
@@ -303,6 +306,39 @@ TEST_F(SimdBackends, NormalPlanarBitIdenticalAcrossBackends) {
       EXPECT_EQ(states, ref_states) << backend->name << " n=" << n;
     }
   }
+}
+
+TEST(GemmThreading, PublicEntriesNeverDispatchToThePool) {
+  // At Muffin's head shapes a GEMM row costs far less than waking a pool
+  // worker, so every public GEMM entry runs its kernel on the calling
+  // thread; parallelism lives one level up (records, batches, episodes).
+  if (common::global_pool_size() == 1) {
+    GTEST_SKIP() << "a one-worker pool never dispatches";
+  }
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "parallel_for.calls is compiled out";
+  }
+  const auto parallel_for_calls = []() {
+    const obs::MetricsSnapshot snap = obs::registry().snapshot();
+    const obs::CounterSnapshot* counter =
+        snap.find_counter("parallel_for.calls");
+    return counter != nullptr ? counter->value : 0;
+  };
+  const Matrix a = random_matrix(513, 24, 901);
+  const Matrix w = random_matrix(19, 24, 902);
+  const Matrix b = random_matrix(24, 37, 903);
+  const Vector bias = random_vector(19, 904);
+  const QuantizedGemmB bf16 = build_quant_pack(w, QuantMode::Bf16);
+  const QuantizedGemmB int8 = build_quant_pack(w, QuantMode::Int8);
+
+  const std::uint64_t before = parallel_for_calls();
+  Matrix out;
+  matmul_into(a, b, out);
+  matmul_transposed_b_bias_into(a, w, bias, out);
+  matmul_transposed_b_bias_quant_into(a, bf16, bias, out);
+  matmul_transposed_b_bias_quant_into(a, int8, bias, out);
+  EXPECT_EQ(parallel_for_calls(), before)
+      << "a public GEMM entry split its rows over the pool";
 }
 
 TEST(PlanarKernels, NormalPlanarMatchesCounterRngLanes) {
