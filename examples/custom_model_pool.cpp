@@ -1,10 +1,11 @@
 // Bring-your-own models: plugging user classifiers into Muffin.
 //
 // The framework only requires models::Model (name / num_classes /
-// parameter_count / scores). This example trains three real MLP
-// classifiers with different capacities on the synthetic features, puts
-// them in a pool next to two calibrated zoo models, runs a Muffin search,
-// and saves the winning head to disk (and loads it back).
+// parameter_count / score_batch; a single record is scored as a batch of
+// one). This example trains three real MLP classifiers with different
+// capacities on the synthetic features, puts them in a pool next to two
+// calibrated zoo models, runs a Muffin search, and saves the winning head
+// to disk (and loads it back).
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -60,9 +61,6 @@ int main() {
   config.reward.attributes = {"age", "site"};
   config.head_train.epochs = 12;
   config.proxy.max_samples = 2500;
-  // TrainableClassifier::scores is not thread-safe (it reuses the MLP's
-  // forward caches), so evaluate episodes sequentially.
-  config.parallel = false;
 
   core::MuffinSearch search(pool, train, validation, space, config);
   const core::SearchResult result = search.run();

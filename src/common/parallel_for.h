@@ -4,7 +4,7 @@
 // contiguous blocks of at least `grain` indices and runs
 // body(begin, end) for each block, using the shared pool returned by
 // global_pool(). It is the one data-parallel primitive the hot paths
-// use: CalibratedModel / FusedModel score_batch record splits, and
+// use: the CalibratedModel::score_batch record split, and
 // anything later whose per-index work is heavy enough to pay for a pool
 // hop — all drawing from the same pool as the serving engine and
 // MuffinSearch, so components never compete with per-call threads.

@@ -59,8 +59,8 @@ class ThreadPool {
   [[nodiscard]] static bool serial_context();
 
   /// While alive, marks the constructing thread as a serial context:
-  /// parallel_for and FusedModel::score_batch run inline on it, exactly
-  /// as they do inside a pool job. Scopes nest.
+  /// parallel_for runs inline on it, exactly as it does inside a pool
+  /// job. Scopes nest.
   class SerialScope {
    public:
     SerialScope();

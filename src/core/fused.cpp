@@ -1,10 +1,8 @@
 #include "core/fused.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/error.h"
-#include "common/parallel_for.h"
 #include "tensor/ops.h"
 
 namespace muffin::core {
@@ -54,55 +52,8 @@ std::size_t FusedModel::parameter_count() const {
   return count;
 }
 
-tensor::Vector FusedModel::scores(const data::Record& record) const {
-  tensor::Vector gathered(body_.size() * num_classes_, 0.0);
-  for (std::size_t m = 0; m < body_.size(); ++m) {
-    const tensor::Vector s = body_[m]->scores(record);
-    MUFFIN_REQUIRE(s.size() == num_classes_,
-                   "body model returned malformed scores");
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      gathered[m * num_classes_ + c] = s[c];
-    }
-  }
-  return fuse_gathered(gathered, head_, body_.size(), num_classes_,
-                       head_only_on_disagreement_)
-      .scores;
-}
-
 tensor::Matrix FusedModel::score_batch(
     std::span<const data::Record> records) const {
-  // Above the threshold, split the record rows over the shared worker
-  // pool: each block runs the full gather + row-wise fuse on its slice.
-  // Every output row depends only on its own record, so the partitioned
-  // result is bit-identical, row for row, to the serial path (and to
-  // per-record scores()). Below the threshold — and in a serial context
-  // (pool workers, the engine dispatcher) — this is the plain serial
-  // path with no extra copy.
-  constexpr std::size_t kParallelRowThreshold = 256;
-  if (records.size() >= kParallelRowThreshold &&
-      common::global_pool_size() > 1 &&
-      !common::ThreadPool::serial_context()) {
-    tensor::Matrix out(records.size(), num_classes_);
-    parallel_for(records.size(), /*grain=*/128,
-                 [&](std::size_t begin, std::size_t end) {
-                   const tensor::Matrix gathered = gather_body_scores(
-                       body_, num_classes_,
-                       records.subspan(begin, end - begin));
-                   const FusedBatch fused = fuse_gathered_batch(
-                       gathered, head_, body_.size(), num_classes_,
-                       head_only_on_disagreement_);
-                   // Row-wise copy honoring both leading dimensions (the
-                   // stride() hook may pad rows some day); the copied
-                   // bytes are a small fraction of the scoring cost.
-                   for (std::size_t i = begin; i < end; ++i) {
-                     std::memcpy(out.flat().data() + i * out.stride(),
-                                 fused.scores.flat().data() +
-                                     (i - begin) * fused.scores.stride(),
-                                 num_classes_ * sizeof(double));
-                   }
-                 });
-    return out;
-  }
   const tensor::Matrix gathered =
       gather_body_scores(body_, num_classes_, records);
   return fuse_gathered_batch(gathered, head_, body_.size(), num_classes_,
@@ -116,7 +67,8 @@ tensor::Matrix gather_body_scores(const std::vector<models::ModelPtr>& body,
   const std::size_t n = records.size();
   // Gather model-at-a-time: each body model scores the whole batch through
   // its score_batch override, keeping that model's state hot across rows.
-  tensor::Matrix gathered(n, body.size() * num_classes);
+  tensor::Matrix gathered;
+  gathered.resize_for_overwrite(n, body.size() * num_classes);
   for (std::size_t m = 0; m < body.size(); ++m) {
     const tensor::Matrix s = body[m]->score_batch(records);
     MUFFIN_REQUIRE(s.rows() == n && s.cols() == num_classes,
@@ -132,44 +84,6 @@ tensor::Matrix gather_body_scores(const std::vector<models::ModelPtr>& body,
   return gathered;
 }
 
-FusedScores fuse_gathered(std::span<const double> gathered,
-                          const nn::Mlp& head, std::size_t body_size,
-                          std::size_t num_classes,
-                          bool head_only_on_disagreement) {
-  MUFFIN_REQUIRE(gathered.size() == body_size * num_classes,
-                 "gathered row must be body count x classes wide");
-  std::size_t consensus = 0;
-  bool all_agree = true;
-  for (std::size_t m = 0; m < body_size; ++m) {
-    const std::size_t pred =
-        tensor::argmax(gathered.subspan(m * num_classes, num_classes));
-    if (m == 0) {
-      consensus = pred;
-    } else if (pred != consensus) {
-      all_agree = false;
-    }
-  }
-
-  if (head_only_on_disagreement && all_agree) {
-    // Consensus: return the mean body score vector (argmax == consensus).
-    tensor::Vector mean(num_classes, 0.0);
-    for (std::size_t m = 0; m < body_size; ++m) {
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        mean[c] += gathered[m * num_classes + c];
-      }
-    }
-    for (double& v : mean) v /= static_cast<double>(body_size);
-    return {std::move(mean), true};
-  }
-
-  tensor::Vector out = head.forward_inference(gathered);
-  const double total = tensor::sum(out);
-  if (total > 1e-12) {
-    for (double& v : out) v /= total;
-  }
-  return {std::move(out), false};
-}
-
 FusedBatch fuse_gathered_batch(const tensor::Matrix& gathered,
                                const nn::Mlp& head, std::size_t body_size,
                                std::size_t num_classes,
@@ -181,9 +95,7 @@ FusedBatch fuse_gathered_batch(const tensor::Matrix& gathered,
   batch.scores.resize(n, num_classes);
   batch.consensus.assign(n, false);
 
-  // Row-wise consensus gate (same argmax order as fuse_gathered).
-  std::vector<std::size_t> head_rows;
-  head_rows.reserve(n);
+  // Row-wise consensus gate.
   for (std::size_t i = 0; i < n; ++i) {
     const auto row = gathered.row(i);
     std::size_t consensus = 0;
@@ -208,29 +120,36 @@ FusedBatch fuse_gathered_batch(const tensor::Matrix& gathered,
       for (double& v : out) v /= static_cast<double>(body_size);
       batch.consensus[i] = true;
     } else {
-      head_rows.push_back(i);
+      ++batch.head_rows;
     }
   }
+  if (batch.head_rows == 0) return batch;
 
-  // One batched head forward over the disagreement sub-batch.
-  if (!head_rows.empty()) {
-    tensor::Matrix sub(head_rows.size(), gathered.cols());
-    for (std::size_t k = 0; k < head_rows.size(); ++k) {
-      const auto src = gathered.row(head_rows[k]);
-      std::copy(src.begin(), src.end(), sub.row(k).begin());
-    }
-    const tensor::Matrix head_out = head.forward_batch_inference(sub);
-    for (std::size_t k = 0; k < head_rows.size(); ++k) {
-      const auto src = head_out.row(k);
-      auto dst = batch.scores.row(head_rows[k]);
-      std::copy(src.begin(), src.end(), dst.begin());
-      const double total = tensor::sum(dst);
-      if (total > 1e-12) {
-        for (double& v : dst) v /= total;
-      }
+  // One batched head forward over the disagreement rows — the gathered
+  // batch itself, uncopied, when no row reached consensus.
+  tensor::Matrix sub;
+  if (batch.head_rows < n) {
+    sub.resize_for_overwrite(batch.head_rows, gathered.cols());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (batch.consensus[i]) continue;
+      const auto src = gathered.row(i);
+      std::copy(src.begin(), src.end(), sub.row(k++).begin());
     }
   }
-  batch.head_rows = head_rows.size();
+  const tensor::Matrix head_out =
+      head.forward_batch_inference(batch.head_rows < n ? sub : gathered);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (batch.consensus[i]) continue;
+    const auto src = head_out.row(k++);
+    auto dst = batch.scores.row(i);
+    std::copy(src.begin(), src.end(), dst.begin());
+    const double total = tensor::sum(dst);
+    if (total > 1e-12) {
+      for (double& v : dst) v /= total;
+    }
+  }
   return batch;
 }
 

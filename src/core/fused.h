@@ -40,12 +40,11 @@ class FusedModel final : public models::Model {
   }
   /// Body parameters plus head parameters (Fig. 9b reports this sum).
   [[nodiscard]] std::size_t parameter_count() const override;
-  [[nodiscard]] tensor::Vector scores(
-      const data::Record& record) const override;
   /// Batch-first fused scoring: each body model scores the whole batch
   /// (their score_batch overrides), the consensus short-circuit is applied
   /// row-wise, and the head runs one batched forward over the disagreement
-  /// sub-batch only. Bit-identical, row for row, to per-record scores().
+  /// sub-batch only. The gather and fuse run on the calling thread; a body
+  /// model may still split its own rows over the pool.
   [[nodiscard]] tensor::Matrix score_batch(
       std::span<const data::Record> records) const override;
 
@@ -63,10 +62,10 @@ class FusedModel final : public models::Model {
  private:
   std::string name_;
   std::vector<models::ModelPtr> body_;
-  // Inference runs through the const, cache-free Mlp forwards
-  // (forward_inference / forward_batch_inference), so scores()/score_batch()
-  // need no mutex: concurrent callers share head_ freely, honoring the
-  // Model concurrency contract without serialization.
+  // Inference runs through the const, cache-free
+  // Mlp::forward_batch_inference, so score_batch needs no mutex:
+  // concurrent callers share head_ freely, honoring the Model concurrency
+  // contract without serialization.
   nn::Mlp head_;
   bool head_only_on_disagreement_;
   std::size_t num_classes_;
@@ -80,22 +79,6 @@ class FusedModel final : public models::Model {
     const std::vector<models::ModelPtr>& body, std::size_t num_classes,
     std::span<const data::Record> records);
 
-/// Result of fusing one gathered body-score row.
-struct FusedScores {
-  tensor::Vector scores;
-  bool consensus = false;  ///< body agreed; the head was skipped
-};
-
-/// Fuse one gathered row (the concatenated body score vectors): the mean
-/// body vector when every body argmax agrees and the gate is on (§3.2),
-/// otherwise the sum-normalized head forward. The single-record arithmetic
-/// reference — the batched paths must match it bit for bit, row by row.
-[[nodiscard]] FusedScores fuse_gathered(std::span<const double> gathered,
-                                        const nn::Mlp& head,
-                                        std::size_t body_size,
-                                        std::size_t num_classes,
-                                        bool head_only_on_disagreement);
-
 /// Result of fusing a whole gathered batch.
 struct FusedBatch {
   tensor::Matrix scores;          ///< (n, num_classes), rows sum to 1
@@ -103,11 +86,11 @@ struct FusedBatch {
   std::size_t head_rows = 0;      ///< rows that ran the head forward
 };
 
-/// Batched fuse_gathered: row-wise consensus gate, then one batched head
-/// forward over the disagreement sub-batch only. Each output row is
-/// bit-identical to fuse_gathered on the same gathered row — FusedModel,
-/// fused_predictions and serve::InferenceEngine all fuse through here, so
-/// the per-record reference and the batched paths cannot drift.
+/// Fuse gathered body-score rows (the concatenated body score vectors):
+/// a row whose body argmaxes all agree takes the mean body vector when the
+/// gate is on (§3.2); the other rows run one batched head forward and are
+/// sum-normalized. FusedModel and serve::InferenceEngine both fuse through
+/// here, so every serving path shares one fuse.
 [[nodiscard]] FusedBatch fuse_gathered_batch(const tensor::Matrix& gathered,
                                              const nn::Mlp& head,
                                              std::size_t body_size,

@@ -226,17 +226,6 @@ const std::vector<double>& CalibratedModel::group_offsets(
   return offsets_[attribute];
 }
 
-tensor::Vector CalibratedModel::scores(const data::Record& record) const {
-  // A single-row span through the full score_batch entry — one code path,
-  // so the scores() == score_batch() row contract holds by construction
-  // instead of by maintaining two implementations in step. The per-call
-  // setup (output matrix, scratch arenas, one whole-kernel pass at n = 1)
-  // is the honest price of the unified kernel; batch callers amortize it.
-  const tensor::Matrix scored = score_batch({&record, 1});
-  const auto row = scored.row(0);
-  return tensor::Vector(row.begin(), row.end());
-}
-
 tensor::Matrix CalibratedModel::score_batch(
     std::span<const data::Record> records) const {
   tensor::Matrix out;
@@ -263,10 +252,8 @@ void CalibratedModel::score_rows(std::span<const data::Record> records,
   const std::size_t classes = num_classes_;
   if (n == 0) return;
 
-  s.words.resize(6 * n);
+  s.words.resize(9 * n);
   s.reals.resize((7 + classes) * n);
-  s.indices.resize(2 * n);
-  s.correct.resize(n);
   std::uint64_t* const eps_states = s.words.data();
   std::uint64_t* const fam_states = eps_states + n;  // adjacent: see header
   std::uint64_t* const logit_states = fam_states + n;
@@ -281,9 +268,9 @@ void CalibratedModel::score_rows(std::span<const data::Record> records,
   double* const margin = slack + n;
   double* const max_background = margin + n;
   double* const planes = max_background + n;
-  std::size_t* const label = s.indices.data();
-  std::size_t* const predicted = label + n;
-  unsigned char* const correct = s.correct.data();
+  std::uint64_t* const label = runner_seeds + n;
+  std::uint64_t* const predicted = label + n;
+  std::uint64_t* const correct = predicted + n;
 
   // Pass A — scalar prologue: validate, evaluate the calibrated
   // correctness probability and derive every substream seed. The uid's

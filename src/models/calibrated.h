@@ -88,10 +88,6 @@ class CalibratedModel final : public Model {
   [[nodiscard]] std::size_t parameter_count() const override {
     return profile_.parameter_count;
   }
-  /// Routes through the same planar batch kernel as score_batch() on a
-  /// single-row span, so the two are bit-identical by construction.
-  [[nodiscard]] tensor::Vector scores(
-      const data::Record& record) const override;
   /// Whole-batch planar kernel: per-record substream seeds are derived in
   /// one scalar prologue, all normal draws fill contiguous per-stream
   /// arrays through the SIMD backend (tensor/ops.h normal_planar_into),
@@ -99,7 +95,7 @@ class CalibratedModel final : public Model {
   /// softmax runs class-major over the whole output matrix
   /// (softmax_planar_into). Rows are split over the shared worker pool;
   /// every row is a pure function of its record and the frozen calibration
-  /// state, so any partition — and the single-row scores() call — is
+  /// state, so any partition — and a single record scored alone — is
   /// bit-identical to one serial whole-batch call.
   [[nodiscard]] tensor::Matrix score_batch(
       std::span<const data::Record> records) const override;
@@ -121,22 +117,21 @@ class CalibratedModel final : public Model {
  private:
   /// Per-call scratch of the planar batch kernel: splitmix64 stream
   /// states, per-record statistics (struct-of-arrays) and the class-major
-  /// logit planes, carved out of four flat arenas (a fresh scratch costs
-  /// four allocations, not one per array). Owned by the caller so a
+  /// logit planes, carved out of two flat arenas (a fresh scratch costs
+  /// two allocations, not one per array — a record scored alone pays
+  /// them on every call). Owned by the caller so a
   /// row-partitioned score_batch gives each block a private instance —
   /// partition-independent and free of shared mutable state under the
   /// worker pool.
   struct BatchScratch {
     /// [eps states n | fam states n | logit states n | confusion n |
-    ///  calibration n | runner n]; eps and fam are adjacent on purpose so
-    /// one planar sweep fills both draw columns.
+    ///  calibration n | runner n | label n | predicted n | correct n];
+    /// eps and fam are adjacent on purpose so one planar sweep fills both
+    /// draw columns.
     std::vector<std::uint64_t> words;
     /// [eps draws n | fam draws n | probability n | difficulty n |
     ///  slack n | margin n | max background n | planes classes * n]
     std::vector<double> reals;
-    /// [label n | predicted n]
-    std::vector<std::size_t> indices;
-    std::vector<unsigned char> correct;
   };
 
   void derive_offsets(const data::Dataset& dataset);

@@ -1,22 +1,15 @@
 #include "models/model.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "tensor/ops.h"
 
 namespace muffin::models {
 
-tensor::Matrix Model::score_batch(
-    std::span<const data::Record> records) const {
-  tensor::Matrix out(records.size(), num_classes());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const tensor::Vector s = scores(records[i]);
-    MUFFIN_REQUIRE(s.size() == num_classes(),
-                   "model returned a malformed score vector");
-    std::copy(s.begin(), s.end(), out.row(i).begin());
-  }
-  return out;
+tensor::Vector Model::scores(const data::Record& record) const {
+  const tensor::Matrix scored = score_batch({&record, 1});
+  MUFFIN_REQUIRE(scored.rows() == 1 && scored.cols() == num_classes(),
+                 "model returned a malformed score vector");
+  return tensor::Vector(scored.row(0).begin(), scored.row(0).end());
 }
 
 std::size_t Model::predict(const data::Record& record) const {

@@ -25,28 +25,23 @@ class Model {
   /// parameters in muffin terms; Table I / Fig. 9b report these).
   [[nodiscard]] virtual std::size_t parameter_count() const = 0;
 
-  /// Class-score vector (non-negative, sums to 1) for one record.
-  /// Deterministic: the same record always yields the same scores.
+  /// Batch scoring — the one scoring entry a model implements: row i of
+  /// the result is the class-score vector (non-negative, sums to 1) of
+  /// records[i]. Deterministic, and each row depends only on its own
+  /// record, so any batch containing a record gives that record the same
+  /// bits (a record scored alone is a batch of one).
   ///
-  /// Thread safety: const member functions must be safe to call
-  /// concurrently from multiple threads on the same instance (the serving
-  /// engine and the parallel search both rely on this). Implementations
-  /// with mutable internal state — e.g. forward caches — must synchronize
-  /// it themselves; purely functional models need no locking. Since the
-  /// batch-first refactor every in-tree model is purely functional on the
-  /// inference path (nn::Mlp::forward_inference is const and cache-free),
-  /// so no in-tree model locks; the relaxed contract stands for external
-  /// implementations that still carry mutable caches.
-  [[nodiscard]] virtual tensor::Vector scores(
-      const data::Record& record) const = 0;
-
-  /// Batch scoring: row i of the result is the score vector of records[i].
-  /// Matrix-in/Matrix-out hot path — implementations vectorize it (batched
-  /// GEMM for network-backed models, scratch reuse for calibrated ones) but
-  /// must stay bit-identical, row for row, to per-record scores() calls.
-  /// The default loops scores() per record.
+  /// Thread safety: must be safe to call concurrently from multiple
+  /// threads on the same instance (the serving engine and the parallel
+  /// search both rely on this). Every in-tree model is purely functional
+  /// on this path (nn::Mlp::forward_batch_inference is const and
+  /// cache-free), so none locks; a model with mutable internal state must
+  /// synchronize it itself.
   [[nodiscard]] virtual tensor::Matrix score_batch(
-      std::span<const data::Record> records) const;
+      std::span<const data::Record> records) const = 0;
+
+  /// Scores of one record: score_batch on a batch of one.
+  [[nodiscard]] tensor::Vector scores(const data::Record& record) const;
 
   /// Argmax class of scores(record).
   [[nodiscard]] std::size_t predict(const data::Record& record) const;

@@ -79,12 +79,6 @@ double TrainableClassifier::fit(const data::Dataset& train,
   return final_loss;
 }
 
-tensor::Vector TrainableClassifier::scores(const data::Record& record) const {
-  MUFFIN_REQUIRE(record.features.size() == feature_dim_,
-                 "record feature width mismatch");
-  return tensor::softmax(mlp_.forward_inference(record.features));
-}
-
 tensor::Matrix TrainableClassifier::score_batch(
     std::span<const data::Record> records) const {
   tensor::Matrix features(records.size(), feature_dim_);

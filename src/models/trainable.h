@@ -44,14 +44,13 @@ class TrainableClassifier final : public Model {
   [[nodiscard]] std::size_t parameter_count() const override {
     return mlp_.parameter_count();
   }
-  [[nodiscard]] tensor::Vector scores(
-      const data::Record& record) const override;
   /// Batched scoring: one feature-gather, one MLP GEMM forward, row-wise
-  /// softmax. Bit-identical to per-record scores().
+  /// softmax.
   [[nodiscard]] tensor::Matrix score_batch(
       std::span<const data::Record> records) const override;
 
   [[nodiscard]] bool is_trained() const { return trained_; }
+  [[nodiscard]] const nn::Mlp& mlp() const { return mlp_; }
   [[nodiscard]] const TrainableConfig& config() const { return config_; }
 
  private:
@@ -59,8 +58,9 @@ class TrainableClassifier final : public Model {
   std::size_t num_classes_;
   std::size_t feature_dim_;
   TrainableConfig config_;
-  // Inference goes through the const, cache-free Mlp::forward_inference /
-  // forward_batch_inference, so scores() needs no mutable state or locking.
+  // Inference goes through the const, cache-free
+  // Mlp::forward_batch_inference, so scoring needs no mutable state or
+  // locking.
   nn::Mlp mlp_;
   bool trained_ = false;
 };

@@ -84,22 +84,6 @@ ActivationLayer::ActivationLayer(Activation kind, std::size_t dim)
   MUFFIN_REQUIRE(dim > 0, "activation layer dimension must be positive");
 }
 
-tensor::Vector ActivationLayer::forward(std::span<const double> input) {
-  MUFFIN_REQUIRE(input.size() == dim_, "activation input size mismatch");
-  last_input_.assign(input.begin(), input.end());
-  tensor::Vector out(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) out[i] = activate(kind_, input[i]);
-  return out;
-}
-
-tensor::Vector ActivationLayer::forward_inference(
-    std::span<const double> input) const {
-  MUFFIN_REQUIRE(input.size() == dim_, "activation input size mismatch");
-  tensor::Vector out(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) out[i] = activate(kind_, input[i]);
-  return out;
-}
-
 tensor::Matrix ActivationLayer::forward_batch(const tensor::Matrix& input) {
   MUFFIN_REQUIRE(input.cols() == dim_, "activation batch input size mismatch");
   last_batch_input_ = input;
@@ -178,18 +162,6 @@ tensor::Matrix ActivationLayer::backward_batch(
         out[i] = g[i] * (s * (1.0 - s));
       }
       break;
-  }
-  return grad_in;
-}
-
-tensor::Vector ActivationLayer::backward(std::span<const double> grad_output) {
-  MUFFIN_REQUIRE(grad_output.size() == dim_,
-                 "activation gradient size mismatch");
-  MUFFIN_REQUIRE(last_input_.size() == dim_,
-                 "backward called before forward");
-  tensor::Vector grad_in(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    grad_in[i] = grad_output[i] * activate_grad(kind_, last_input_[i]);
   }
   return grad_in;
 }

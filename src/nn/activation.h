@@ -29,10 +29,6 @@ class ActivationLayer final : public Layer {
  public:
   ActivationLayer(Activation kind, std::size_t dim);
 
-  tensor::Vector forward(std::span<const double> input) override;
-  tensor::Vector backward(std::span<const double> grad_output) override;
-  [[nodiscard]] tensor::Vector forward_inference(
-      std::span<const double> input) const override;
   tensor::Matrix forward_batch(const tensor::Matrix& input) override;
   tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
   void forward_batch_inference_into(const tensor::Matrix& input,
@@ -47,7 +43,6 @@ class ActivationLayer final : public Layer {
  private:
   Activation kind_;
   std::size_t dim_;
-  tensor::Vector last_input_;
   tensor::Matrix last_batch_input_;  ///< forward_batch cache for backward
 };
 

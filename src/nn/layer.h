@@ -1,12 +1,12 @@
 // Layer abstraction for the nn module.
 //
-// Layers are batch-first: the canonical data path takes a row-major batch
-// matrix (one sample per row) through forward_batch/backward_batch, turning
-// per-sample matrix-vector products into per-batch GEMM. The per-sample
-// forward/backward remain as the single-record reference — forward_batch on
-// an n-row batch is bit-identical, row for row, to n calls of forward (same
-// operation order within each row). forward_inference is the const,
-// cache-free variant used on serving paths, where no backward will follow.
+// Layers are batch-first and have one implementation per pass: a row-major
+// batch matrix (one sample per row) goes through forward_batch /
+// backward_batch for training and forward_batch_inference_into for
+// serving, turning per-sample matrix-vector products into per-batch GEMM.
+// A single record is a 1-row batch. Each row's arithmetic is independent
+// of the other rows, so an n-row batch equals n 1-row calls bit for bit;
+// the per-sample reference loops that pin this live in tests/nn.
 #pragma once
 
 #include <memory>
@@ -29,41 +29,27 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass for one sample. Implementations cache what backward needs.
-  virtual tensor::Vector forward(std::span<const double> input) = 0;
-
-  /// Backward pass: given dLoss/dOutput, accumulate parameter gradients and
-  /// return dLoss/dInput. Must be called after forward on the same sample.
-  virtual tensor::Vector backward(std::span<const double> grad_output) = 0;
-
-  /// Const, cache-free forward for one sample (inference only; no backward
-  /// may follow). Bit-identical to forward on the same input.
-  [[nodiscard]] virtual tensor::Vector forward_inference(
-      std::span<const double> input) const = 0;
-
   /// Forward pass for a batch (one sample per row). Caches what
-  /// backward_batch needs. The base implementation loops forward row by row
-  /// — correct output, but it caches only the last row, so layers used in
-  /// batched training must override both batch methods together.
-  virtual tensor::Matrix forward_batch(const tensor::Matrix& input);
+  /// backward_batch needs. Never quantizes.
+  virtual tensor::Matrix forward_batch(const tensor::Matrix& input) = 0;
 
   /// Batched backward: given dLoss/dOutput rows, accumulate parameter
-  /// gradients (summed over rows in ascending row order, matching a
-  /// per-sample loop) and return dLoss/dInput rows. Must follow
-  /// forward_batch on the same batch. The base implementation throws.
-  virtual tensor::Matrix backward_batch(const tensor::Matrix& grad_output);
+  /// gradients (summed over rows in ascending row order) and return
+  /// dLoss/dInput rows. Must follow forward_batch on the same batch.
+  virtual tensor::Matrix backward_batch(const tensor::Matrix& grad_output) = 0;
 
-  /// Const, cache-free batched forward (inference only). The base
-  /// implementation loops forward_inference row by row.
-  [[nodiscard]] virtual tensor::Matrix forward_batch_inference(
-      const tensor::Matrix& input) const;
-
-  /// forward_batch_inference writing into caller-owned storage, so a chain
-  /// of layers (Mlp) can ping-pong two scratch matrices instead of
-  /// allocating one temporary per layer per batch. `output` must not alias
-  /// `input`. The base implementation loops forward_inference row by row.
+  /// Const, cache-free batched forward (inference only; no backward may
+  /// follow) writing into caller-owned storage, so a chain of layers (Mlp)
+  /// can ping-pong two scratch matrices instead of allocating one
+  /// temporary per layer per batch. `output` must not alias `input`.
+  /// Follows the active quant mode (tensor/quant.h) where a layer has
+  /// weights; in QuantMode::Off it is bit-identical to forward_batch.
   virtual void forward_batch_inference_into(const tensor::Matrix& input,
-                                            tensor::Matrix& output) const;
+                                            tensor::Matrix& output) const = 0;
+
+  /// forward_batch_inference_into into a fresh matrix.
+  [[nodiscard]] tensor::Matrix forward_batch_inference(
+      const tensor::Matrix& input) const;
 
   /// Deep copy of this layer's architecture and weights. Gradient
   /// accumulators and forward caches start empty in the clone. A layer

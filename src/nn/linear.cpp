@@ -1,6 +1,5 @@
 #include "nn/linear.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -51,7 +50,6 @@ Linear& Linear::operator=(const Linear& other) {
   bias_ = other.bias_;
   weight_grad_ = other.weight_grad_;
   bias_grad_ = other.bias_grad_;
-  last_input_.clear();
   last_batch_input_ = tensor::Matrix();
   mapped_weights_ = other.mapped_weights_;
   mapped_bias_ = other.mapped_bias_;
@@ -102,7 +100,6 @@ void Linear::adopt_weights(const double* weights, const double* bias,
   weight_grad_ = tensor::Matrix();
   bias_grad_.clear();
   bias_grad_.shrink_to_fit();
-  last_input_.clear();
   last_batch_input_ = tensor::Matrix();
   invalidate_pack();
 }
@@ -124,70 +121,13 @@ void Linear::init_he(SplitRng& rng) {
   invalidate_pack();
 }
 
-tensor::Vector Linear::forward(std::span<const double> input) {
-  require_trainable("forward");
-  MUFFIN_REQUIRE(input.size() == in_dim_, "linear input size mismatch");
+tensor::Matrix Linear::forward_batch(const tensor::Matrix& input) {
+  require_trainable("forward_batch");
+  MUFFIN_REQUIRE(input.cols() == in_dim_, "linear batch input size mismatch");
   // The optimizer writes weights through ParamViews handed out before the
   // epoch loop, so a stale pack cannot be detected at the mutation site;
   // dropping it on every training forward keeps fit-then-serve correct.
   invalidate_pack();
-  last_input_.assign(input.begin(), input.end());
-  tensor::Vector out = tensor::matvec(weights_, input);
-  for (std::size_t i = 0; i < out_dim_; ++i) out[i] += bias_[i];
-  return out;
-}
-
-tensor::Vector Linear::backward(std::span<const double> grad_output) {
-  require_trainable("backward");
-  MUFFIN_REQUIRE(grad_output.size() == out_dim_,
-                 "linear gradient size mismatch");
-  MUFFIN_REQUIRE(last_input_.size() == in_dim_,
-                 "backward called before forward");
-  for (std::size_t i = 0; i < out_dim_; ++i) {
-    bias_grad_[i] += grad_output[i];
-    const double gi = grad_output[i];
-    if (gi == 0.0) continue;
-    for (std::size_t j = 0; j < in_dim_; ++j) {
-      weight_grad_(i, j) += gi * last_input_[j];
-    }
-  }
-  return tensor::matvec_transposed(weights_, grad_output);
-}
-
-tensor::Vector Linear::forward_inference(std::span<const double> input) const {
-  MUFFIN_REQUIRE(input.size() == in_dim_, "linear input size mismatch");
-  const tensor::QuantMode mode = tensor::active_quant_mode();
-  if (mode != tensor::QuantMode::Off) {
-    // Route the single record through the same dequantizing GEMM the batch
-    // path uses (as a 1-row batch) so scores() stays bit-identical, row for
-    // row, to score_batch() in every quant mode.
-    tensor::Matrix in_row(1, in_dim_);
-    std::copy(input.begin(), input.end(), in_row.row(0).begin());
-    const auto pack = quant_pack(mode);
-    tensor::Matrix out_row;
-    tensor::matmul_transposed_b_bias_quant_into(in_row, *pack, bias_span(),
-                                                out_row);
-    const auto r = out_row.row(0);
-    return tensor::Vector(r.begin(), r.end());
-  }
-  // Same accumulation order as tensor::matvec followed by the bias loop.
-  const double* w = weight_data();
-  const std::span<const double> bias = bias_span();
-  tensor::Vector out(out_dim_, 0.0);
-  for (std::size_t i = 0; i < out_dim_; ++i) {
-    const double* row = w + i * in_dim_;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < in_dim_; ++j) acc += row[j] * input[j];
-    out[i] = acc;
-  }
-  for (std::size_t i = 0; i < out_dim_; ++i) out[i] += bias[i];
-  return out;
-}
-
-tensor::Matrix Linear::forward_batch(const tensor::Matrix& input) {
-  require_trainable("forward_batch");
-  MUFFIN_REQUIRE(input.cols() == in_dim_, "linear batch input size mismatch");
-  invalidate_pack();  // see forward(): ParamView writes are invisible here
   last_batch_input_ = input;
   tensor::Matrix out;
   tensor::matmul_transposed_b_bias_into(input, weights_, bias_, out);
@@ -216,9 +156,8 @@ tensor::Matrix Linear::backward_batch(const tensor::Matrix& grad_output) {
                      last_batch_input_.cols() == in_dim_,
                  "batched backward called before forward_batch");
   const std::size_t n = grad_output.rows();
-  // Parameter gradients: rows accumulate in ascending sample order, and the
-  // zero-gradient skip matches the per-sample backward exactly, so the
-  // accumulated values are bit-identical to a per-sample loop.
+  // Parameter gradients: rows accumulate in ascending sample order, so a
+  // batch gives the same bits as the same rows fed one at a time.
   for (std::size_t r = 0; r < n; ++r) {
     const auto g = grad_output.row(r);
     const auto x = last_batch_input_.row(r);
@@ -231,8 +170,8 @@ tensor::Matrix Linear::backward_batch(const tensor::Matrix& grad_output) {
       }
     }
   }
-  // Input gradients: G W, one matvec_transposed per row (i-ascending
-  // accumulation, zero skips included — the per-sample order).
+  // Input gradients: G W row by row, i-ascending accumulation with zero
+  // gradients skipped (the tensor::matvec_transposed order).
   tensor::Matrix grad_input(n, in_dim_);
   for (std::size_t r = 0; r < n; ++r) {
     const auto g = grad_output.row(r);

@@ -9,14 +9,15 @@
 //    but every training-path method throws muffin::Error.
 //  * **Quantized inference.** When the active quant mode
 //    (tensor/quant.h, MUFFIN_QUANT) is bf16 or int8, the inference
-//    forwards run through the dequantizing GEMM kernels on a lazily
+//    forward runs through the dequantizing GEMM kernels on a lazily
 //    built k-major weight pack. The pack is invalidated by every
 //    weight-mutating entry point — and, conservatively, by the training
-//    forwards/backwards, because the optimizer writes weights through
-//    ParamViews cached before the epoch loop — so a fit-then-serve
-//    sequence always re-packs fresh weights. The per-record and batch
-//    paths share one kernel, keeping scores() == score_batch() rows
-//    bit-identical in every mode.
+//    forward, because the optimizer writes weights through ParamViews
+//    cached before the epoch loop — so a fit-then-serve sequence always
+//    re-packs fresh weights. The training entries never quantize.
+//
+// A single record is a 1-row batch through the same entries; there is no
+// per-sample path to keep in step.
 #pragma once
 
 #include <memory>
@@ -58,15 +59,13 @@ class Linear final : public Layer {
   /// Whether the weights are borrowed (layer is frozen).
   [[nodiscard]] bool mapped() const { return mapped_weights_ != nullptr; }
 
-  tensor::Vector forward(std::span<const double> input) override;
-  tensor::Vector backward(std::span<const double> grad_output) override;
-  [[nodiscard]] tensor::Vector forward_inference(
-      std::span<const double> input) const override;
-  /// X W^T + b as one GEMM (tall-skinny X against the row-major weights).
+  /// X W^T + b as one GEMM (tall-skinny X against the row-major weights);
+  /// each output element accumulates its dot product in ascending input
+  /// order and adds the bias last.
   tensor::Matrix forward_batch(const tensor::Matrix& input) override;
-  /// Accumulates weight/bias gradients over the batch (G^T X) and returns
-  /// the input gradients (G W), summing rows in ascending order so the
-  /// result is bit-identical to a per-sample forward/backward loop.
+  /// Accumulates weight/bias gradients over the batch (G^T X, rows in
+  /// ascending order, zero gradients skipped) and returns the input
+  /// gradients (G W, output index ascending, zero gradients skipped).
   tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
   void forward_batch_inference_into(const tensor::Matrix& input,
                                     tensor::Matrix& output) const override;
@@ -116,7 +115,6 @@ class Linear final : public Layer {
   tensor::Vector bias_;
   tensor::Matrix weight_grad_;
   tensor::Vector bias_grad_;
-  tensor::Vector last_input_;
   tensor::Matrix last_batch_input_;  ///< forward_batch cache for backward
 
   const double* mapped_weights_ = nullptr;

@@ -95,55 +95,6 @@ tensor::Vector LstmCell::step(std::span<const double> input) {
   return h_;
 }
 
-void LstmCell::step_batch(const tensor::Matrix& inputs, tensor::Matrix& h,
-                          tensor::Matrix& c) const {
-  const std::size_t n = inputs.rows();
-  MUFFIN_REQUIRE(inputs.cols() == input_dim_,
-                 "LSTM batch input size mismatch");
-  MUFFIN_REQUIRE(h.rows() == n && h.cols() == hidden_dim_,
-                 "LSTM batch hidden state shape mismatch");
-  MUFFIN_REQUIRE(c.rows() == n && c.cols() == hidden_dim_,
-                 "LSTM batch cell state shape mismatch");
-  // Same arithmetic as gate_preactivation/step, vectorized over rows: bias
-  // first, then the x terms, then the h_prev terms, per gate row.
-  tensor::Matrix pre_i(n, hidden_dim_), pre_f(n, hidden_dim_),
-      pre_g(n, hidden_dim_), pre_o(n, hidden_dim_);
-  const auto gate_batch = [&](const GateBlock& block, tensor::Matrix& pre) {
-    for (std::size_t b = 0; b < n; ++b) {
-      const auto x = inputs.row(b);
-      const auto h_prev = h.row(b);
-      auto out = pre.row(b);
-      for (std::size_t r = 0; r < hidden_dim_; ++r) {
-        const auto row = block.weight.row(r);
-        double acc = block.bias[r];
-        for (std::size_t j = 0; j < input_dim_; ++j) acc += row[j] * x[j];
-        for (std::size_t j = 0; j < hidden_dim_; ++j) {
-          acc += row[input_dim_ + j] * h_prev[j];
-        }
-        out[r] = acc;
-      }
-    }
-  };
-  gate_batch(input_gate_, pre_i);
-  gate_batch(forget_gate_, pre_f);
-  gate_batch(cell_gate_, pre_g);
-  gate_batch(output_gate_, pre_o);
-
-  for (std::size_t b = 0; b < n; ++b) {
-    auto h_row = h.row(b);
-    auto c_row = c.row(b);
-    for (std::size_t j = 0; j < hidden_dim_; ++j) {
-      const double i = sigmoid(pre_i(b, j));
-      const double f = sigmoid(pre_f(b, j));
-      const double g = std::tanh(pre_g(b, j));
-      const double o = sigmoid(pre_o(b, j));
-      const double c_new = f * c_row[j] + i * g;
-      h_row[j] = o * std::tanh(c_new);
-      c_row[j] = c_new;
-    }
-  }
-}
-
 std::vector<tensor::Vector> LstmCell::backward_sequence(
     const std::vector<tensor::Vector>& grad_h_per_step) {
   MUFFIN_REQUIRE(grad_h_per_step.size() == cache_.size(),

@@ -27,19 +27,6 @@ class LstmCell {
   void begin_sequence();
   /// Process one input; returns the new hidden state h_t.
   tensor::Vector step(std::span<const double> input);
-  /// Stateless batched step for inference: row r of `inputs` advances the
-  /// independent sequence whose hidden/cell state lives in row r of `h`/`c`
-  /// (both updated in place). Const and cache-free — nothing is recorded
-  /// for BPTT, and the cell's own h_/c_ state is untouched. Each row is
-  /// bit-identical to step() on a cell holding that row's state (pinned by
-  /// tests/nn/test_batch_forward.cpp), which is why the gates keep step()'s
-  /// scalar accumulation order rather than a GEMM. No serving-path caller
-  /// yet: controller sampling draws tokens from one RNG stream, so lockstep
-  /// rollouts would reorder draws; this is the building block for the
-  /// batched rollout scoring planned alongside the batched wire format
-  /// (ROADMAP), where rollouts carry independent streams.
-  void step_batch(const tensor::Matrix& inputs, tensor::Matrix& h,
-                  tensor::Matrix& c) const;
   /// Number of steps taken since begin_sequence.
   [[nodiscard]] std::size_t sequence_length() const { return cache_.size(); }
 

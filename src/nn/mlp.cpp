@@ -91,34 +91,6 @@ void Mlp::init(SplitRng& rng) {
   }
 }
 
-tensor::Vector Mlp::forward(std::span<const double> input) {
-  MUFFIN_REQUIRE(input.size() == spec_.input_dim, "MLP input size mismatch");
-  tensor::Vector current(input.begin(), input.end());
-  for (const auto& layer : layers_) {
-    current = layer->forward(current);
-  }
-  return current;
-}
-
-tensor::Vector Mlp::backward(std::span<const double> grad_output) {
-  MUFFIN_REQUIRE(grad_output.size() == spec_.output_dim,
-                 "MLP gradient size mismatch");
-  tensor::Vector current(grad_output.begin(), grad_output.end());
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    current = (*it)->backward(current);
-  }
-  return current;
-}
-
-tensor::Vector Mlp::forward_inference(std::span<const double> input) const {
-  MUFFIN_REQUIRE(input.size() == spec_.input_dim, "MLP input size mismatch");
-  tensor::Vector current(input.begin(), input.end());
-  for (const auto& layer : layers_) {
-    current = layer->forward_inference(current);
-  }
-  return current;
-}
-
 tensor::Matrix Mlp::forward_batch(const tensor::Matrix& input) {
   MUFFIN_REQUIRE(input.cols() == spec_.input_dim,
                  "MLP batch input size mismatch");
@@ -160,6 +132,15 @@ tensor::Matrix Mlp::forward_batch_inference(const tensor::Matrix& input) const {
   }
   if (produced == nullptr) return input;  // the ctor guarantees >= 1 layer
   return std::move(*produced);
+}
+
+tensor::Vector Mlp::forward_inference(std::span<const double> input) const {
+  MUFFIN_REQUIRE(input.size() == spec_.input_dim, "MLP input size mismatch");
+  tensor::Matrix row;
+  row.resize_for_overwrite(1, input.size());
+  std::copy(input.begin(), input.end(), row.row(0).begin());
+  const tensor::Matrix out = forward_batch_inference(row);
+  return tensor::Vector(out.row(0).begin(), out.row(0).end());
 }
 
 std::size_t Mlp::predict(std::span<const double> input) const {

@@ -53,27 +53,21 @@ class Mlp {
   /// Xavier otherwise) from the given stream.
   void init(SplitRng& rng);
 
-  /// Forward pass for one sample; caches activations for backward.
-  tensor::Vector forward(std::span<const double> input);
-  /// Backward pass; accumulates parameter gradients, returns input gradient.
-  tensor::Vector backward(std::span<const double> grad_output);
-
-  /// Const, cache-free forward for one sample — the inference path. No
-  /// backward may follow, but unlike forward it is safe to call concurrently
-  /// on a shared instance. Bit-identical to forward.
-  [[nodiscard]] tensor::Vector forward_inference(
-      std::span<const double> input) const;
-
   /// Batched forward (one sample per row); caches per-layer activations for
-  /// backward_batch. Row r of the result is bit-identical to
-  /// forward(input.row(r)).
+  /// backward_batch. Never quantizes.
   tensor::Matrix forward_batch(const tensor::Matrix& input);
   /// Batched backward; accumulates parameter gradients (summed in ascending
-  /// row order, matching a per-sample loop) and returns input gradients.
+  /// row order) and returns input gradients.
   tensor::Matrix backward_batch(const tensor::Matrix& grad_output);
-  /// Const, cache-free batched forward — the serving path.
+  /// Const, cache-free batched forward — the serving path. Follows the
+  /// active quant mode; in QuantMode::Off it is bit-identical to
+  /// forward_batch. Safe to call concurrently on a shared instance.
   [[nodiscard]] tensor::Matrix forward_batch_inference(
       const tensor::Matrix& input) const;
+  /// forward_batch_inference on a 1-row batch: one record in, its outputs
+  /// out.
+  [[nodiscard]] tensor::Vector forward_inference(
+      std::span<const double> input) const;
 
   /// forward_inference + argmax.
   [[nodiscard]] std::size_t predict(std::span<const double> input) const;

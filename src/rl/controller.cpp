@@ -1,5 +1,6 @@
 #include "rl/controller.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -24,6 +25,17 @@ tensor::Vector masked_softmax(std::span<const double> logits,
   }
   MUFFIN_REQUIRE(any_valid, "mask leaves no valid choice");
   return tensor::softmax(adjusted);
+}
+
+/// One sample as a 1-row batch for a step head. The heads run through
+/// the training entries (forward_batch / backward_batch) on purpose: those
+/// never quantize, whereas the inference entry follows MUFFIN_QUANT and
+/// would change every search under bf16/int8.
+tensor::Matrix one_row(std::span<const double> values) {
+  tensor::Matrix row;
+  row.resize_for_overwrite(1, values.size());
+  std::copy(values.begin(), values.end(), row.row(0).begin());
+  return row;
 }
 }  // namespace
 
@@ -77,9 +89,9 @@ SampledStructure RnnController::sample(SplitRng& rng) {
     const std::size_t prev = step == 0 ? 0 : out.tokens[step - 1];
     const tensor::Vector hidden =
         lstm_.step(embeddings_.row(embedding_row(step, prev)));
-    const tensor::Vector logits = heads_[step]->forward(hidden);
+    const tensor::Matrix logits = heads_[step]->forward_batch(one_row(hidden));
     const std::vector<bool> mask = step_mask(space_, step, out.tokens);
-    const tensor::Vector probs = masked_softmax(logits, mask);
+    const tensor::Vector probs = masked_softmax(logits.row(0), mask);
     const std::size_t token =
         rng.categorical(std::vector<double>(probs.begin(), probs.end()));
     out.log_prob += std::log(std::max(probs[token], 1e-300));
@@ -100,9 +112,9 @@ std::vector<tensor::Vector> RnnController::replay(
     const std::size_t prev = step == 0 ? 0 : tokens[step - 1];
     const tensor::Vector hidden =
         lstm_.step(embeddings_.row(embedding_row(step, prev)));
-    const tensor::Vector logits = heads_[step]->forward(hidden);
+    const tensor::Matrix logits = heads_[step]->forward_batch(one_row(hidden));
     const std::vector<bool> mask = step_mask(space_, step, prefix);
-    probs_per_step.push_back(masked_softmax(logits, mask));
+    probs_per_step.push_back(masked_softmax(logits.row(0), mask));
     prefix.push_back(tokens[step]);
   }
   return probs_per_step;
@@ -183,7 +195,10 @@ UpdateStats RnnController::update(std::span<const EpisodeResult> episodes) {
                             (std::log(pi[v]) + entropy);
         }
       }
-      grad_h_per_step[step] = heads_[step]->backward(grad_logits);
+      const tensor::Matrix grad_h =
+          heads_[step]->backward_batch(one_row(grad_logits));
+      grad_h_per_step[step].assign(grad_h.row(0).begin(),
+                                   grad_h.row(0).end());
     }
 
     // BPTT through the LSTM, then route input gradients to embeddings.

@@ -11,7 +11,8 @@
 // identically; no reduction crosses lanes; contraction is pinned off), so
 // all backends are bit-identical to scalar, and a single-row call is
 // bit-identical to the same row inside any batch — the property the
-// calibrated scoring path's scores() == score_batch() contract rests on.
+// calibrated scoring path's batch-of-one == row-of-a-batch contract
+// rests on.
 //
 // The exp inside softmax_planar is a local polynomial (planar_exp), not
 // std::exp: libm calls block vectorization and their results may differ

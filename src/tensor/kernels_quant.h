@@ -19,8 +19,8 @@
 // (widening a bf16 or an int8 to f64 is exact; elementwise mul/add round
 // lane-wise identically), so all backends are bit-identical to scalar
 // and a single-row call is bit-identical to the same row of any batch —
-// the property the quantized scores() == score_batch() contract rests
-// on. Deliberately no a(i,k) == 0.0 skip: dequantized weights are always
+// the property the quantized batch-of-one == row-of-a-batch contract
+// rests on. Deliberately no a(i,k) == 0.0 skip: dequantized weights are always
 // finite, the branch would block vectorization, and skipping would
 // change -0.0 accumulations bit-wise between backends.
 //

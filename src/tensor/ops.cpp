@@ -55,12 +55,19 @@ namespace {
 /// out(i, j) accumulates its k terms in ascending order and adds the bias
 /// last in every backend, so results are bit-identical to
 /// matvec-then-add-bias. `bias` may be null.
+///
+/// A single row (a record scored alone) takes the scalar kernel: the
+/// vector kernels pack B transposed on every call, and one row cannot
+/// amortize that pack. At the head shapes the scalar kernel runs a 1-row
+/// call in about 60% of the vector kernel's time; from two rows up the
+/// vector kernel is as fast or faster.
 void gemm_transposed_b_raw(const Matrix& a, const double* b_data,
                            std::size_t ldb, std::size_t m, const double* bias,
                            Matrix& out) {
-  detail::active_kernels().gemm_tb(a.flat().data(), a.stride(), b_data, ldb,
-                                   bias, out.flat().data(), out.stride(),
-                                   a.rows(), m, a.cols());
+  const detail::KernelTable& kernels =
+      a.rows() == 1 ? detail::scalar_kernels() : detail::active_kernels();
+  kernels.gemm_tb(a.flat().data(), a.stride(), b_data, ldb, bias,
+                  out.flat().data(), out.stride(), a.rows(), m, a.cols());
 }
 
 void gemm_transposed_b(const Matrix& a, const Matrix& b, const double* bias,

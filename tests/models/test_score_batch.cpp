@@ -1,8 +1,12 @@
-// Bit-identity of Model::score_batch against per-record scores() for every
-// model type: the default fallback, calibrated simulations, the trainable
-// classifier, the Method-D/L baselines (both execution paths), and the
-// fused muffin model — including all-consensus and all-disagreement
-// batches, with the head gate on and off. Batch sizes {1, 7, 64}.
+// Bit-identity of Model::score_batch, the one scoring entry, for every
+// model type: calibrated simulations, the trainable classifier, the
+// Method-D/L baselines (both execution paths), and the fused muffin model —
+// including all-consensus and all-disagreement batches, with the head gate
+// on and off. Batch sizes {1, 7, 64}. Every row of a batch must equal the
+// record scored alone (scores(), a batch of one), and the trainable and
+// fused rows must also equal independent per-sample references built from
+// the network weights (tests/nn/per_sample_reference.h) and, for the
+// fused model, a per-record fuse written here.
 #include "models/model.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +22,9 @@
 #include "models/calibrated.h"
 #include "models/pool.h"
 #include "models/trainable.h"
+#include "../nn/per_sample_reference.h"
 #include "tensor/ops.h"
+#include "tensor/quant.h"
 
 namespace muffin::models {
 namespace {
@@ -44,7 +50,8 @@ std::vector<data::Record> first_records(std::size_t n) {
   return records;
 }
 
-/// Asserts score_batch(records) row r == scores(records[r]) bit for bit.
+/// Asserts score_batch(records) row r == scores(records[r]) (the record
+/// scored as a batch of one) bit for bit.
 void expect_batch_bitwise_identical(const Model& model,
                                     std::span<const data::Record> records) {
   const tensor::Matrix batch = model.score_batch(records);
@@ -58,33 +65,6 @@ void expect_batch_bitwise_identical(const Model& model,
           << model.name() << " row " << r << " col " << c;
     }
   }
-}
-
-// A model relying on Model's default per-record score_batch fallback.
-class UniformModel final : public Model {
- public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::size_t num_classes() const override { return 4; }
-  [[nodiscard]] std::size_t parameter_count() const override { return 0; }
-  [[nodiscard]] tensor::Vector scores(
-      const data::Record& record) const override {
-    tensor::Vector s(4, 0.2);
-    s[record.uid % 4] = 0.4;  // deterministic, uid-dependent argmax
-    return s;
-  }
-
- private:
-  std::string name_ = "uniform";
-};
-
-TEST(ScoreBatch, DefaultFallbackLoopsPerRecord) {
-  const UniformModel model;
-  for (const std::size_t n : kBatchSizes) {
-    expect_batch_bitwise_identical(model, first_records(n));
-  }
-  // Empty batch is well-formed.
-  const tensor::Matrix empty = model.score_batch({});
-  EXPECT_EQ(empty.rows(), 0u);
 }
 
 TEST(ScoreBatch, CalibratedModelsBitIdentical) {
@@ -102,6 +82,19 @@ TEST(ScoreBatch, TrainableClassifierBitIdentical) {
   model.fit(batch_dataset());
   for (const std::size_t n : kBatchSizes) {
     expect_batch_bitwise_identical(model, first_records(n));
+  }
+  // Per-sample reference: softmax of the MLP forward, written from the
+  // weights. It is the float path, so pin the float mode.
+  const tensor::ScopedQuantMode pin(tensor::QuantMode::Off);
+  const nn::reference::MlpReference per_sample(model.mlp());
+  const std::vector<data::Record> records = first_records(64);
+  const tensor::Matrix batch = model.score_batch(records);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const tensor::Vector reference =
+        tensor::softmax(per_sample.forward(records[r].features));
+    for (std::size_t c = 0; c < reference.size(); ++c) {
+      EXPECT_EQ(batch(r, c), reference[c]) << "row " << r << " col " << c;
+    }
   }
 }
 
@@ -145,10 +138,74 @@ std::shared_ptr<core::FusedModel> build_fused(bool gate) {
                                             std::move(head), gate);
 }
 
+/// The per-record fuse (§3.2) on one gathered row: the mean body vector
+/// when every body argmax agrees and the gate is on, otherwise the
+/// per-sample head forward, sum-normalized.
+struct ReferenceFuse {
+  tensor::Vector scores;
+  bool consensus = false;
+};
+
+ReferenceFuse reference_fuse(std::span<const double> gathered,
+                             const nn::reference::MlpReference& head,
+                             std::size_t body_size, std::size_t num_classes,
+                             bool gate) {
+  bool all_agree = true;
+  const std::size_t first = tensor::argmax(gathered.subspan(0, num_classes));
+  for (std::size_t m = 1; m < body_size; ++m) {
+    if (tensor::argmax(gathered.subspan(m * num_classes, num_classes)) !=
+        first) {
+      all_agree = false;
+    }
+  }
+  if (gate && all_agree) {
+    tensor::Vector mean(num_classes, 0.0);
+    for (std::size_t m = 0; m < body_size; ++m) {
+      for (std::size_t c = 0; c < num_classes; ++c) {
+        mean[c] += gathered[m * num_classes + c];
+      }
+    }
+    for (double& v : mean) v /= static_cast<double>(body_size);
+    return {std::move(mean), true};
+  }
+  tensor::Vector out = head.forward(gathered);
+  double total = 0.0;
+  for (const double v : out) total += v;
+  if (total > 1e-12) {
+    for (double& v : out) v /= total;
+  }
+  return {std::move(out), false};
+}
+
+/// Asserts every fused row equals the per-record reference: each body
+/// model scores the record alone, then reference_fuse.
+void expect_fused_matches_reference(const core::FusedModel& fused,
+                                    std::span<const data::Record> records) {
+  const tensor::ScopedQuantMode pin(tensor::QuantMode::Off);
+  const nn::reference::MlpReference head(fused.head());
+  const std::size_t classes = fused.num_classes();
+  const tensor::Matrix batch = fused.score_batch(records);
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    tensor::Vector gathered;
+    for (const ModelPtr& body : fused.body()) {
+      const tensor::Vector s = body->scores(records[r]);
+      gathered.insert(gathered.end(), s.begin(), s.end());
+    }
+    const ReferenceFuse reference =
+        reference_fuse(gathered, head, fused.body().size(), classes,
+                       fused.head_only_on_disagreement());
+    for (std::size_t c = 0; c < classes; ++c) {
+      EXPECT_EQ(batch(r, c), reference.scores[c])
+          << fused.name() << " row " << r << " col " << c;
+    }
+  }
+}
+
 TEST(ScoreBatch, FusedModelBitIdenticalMixedBatches) {
   const auto fused = build_fused(true);
   for (const std::size_t n : kBatchSizes) {
     expect_batch_bitwise_identical(*fused, first_records(n));
+    expect_fused_matches_reference(*fused, first_records(n));
   }
 }
 
@@ -173,6 +230,8 @@ TEST(ScoreBatch, FusedModelAllConsensusAndAllDisagreementBatches) {
 
   expect_batch_bitwise_identical(*fused, consensus_batch);
   expect_batch_bitwise_identical(*fused, disagreement_batch);
+  expect_fused_matches_reference(*fused, consensus_batch);
+  expect_fused_matches_reference(*fused, disagreement_batch);
 
   // Consensus rows must carry the consensus class; the batched gate must
   // never flip it (§3.2).
@@ -187,6 +246,7 @@ TEST(ScoreBatch, FusedModelGateOffRunsHeadEverywhere) {
   const auto fused = build_fused(false);
   for (const std::size_t n : kBatchSizes) {
     expect_batch_bitwise_identical(*fused, first_records(n));
+    expect_fused_matches_reference(*fused, first_records(n));
   }
 }
 
@@ -322,7 +382,10 @@ TEST(ScoreBatch, CalibratedPartitionIndependence) {
 }
 
 TEST(FuseGatheredBatch, RowsMatchSingleRecordReference) {
+  // The reference head is the float path; pin the float mode.
+  const tensor::ScopedQuantMode pin(tensor::QuantMode::Off);
   const auto fused = build_fused(true);
+  const nn::reference::MlpReference head(fused->head());
   const std::vector<data::Record> records = first_records(64);
   const std::size_t num_classes = fused->num_classes();
   const std::size_t body_size = fused->body().size();
@@ -341,8 +404,8 @@ TEST(FuseGatheredBatch, RowsMatchSingleRecordReference) {
     ASSERT_EQ(batch.scores.rows(), records.size());
     std::size_t consensus_rows = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
-      const core::FusedScores reference = core::fuse_gathered(
-          gathered.row(i), fused->head(), body_size, num_classes, gate);
+      const ReferenceFuse reference = reference_fuse(
+          gathered.row(i), head, body_size, num_classes, gate);
       EXPECT_EQ(batch.consensus[i], reference.consensus);
       if (reference.consensus) ++consensus_rows;
       for (std::size_t c = 0; c < num_classes; ++c) {

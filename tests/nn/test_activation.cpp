@@ -57,10 +57,11 @@ TEST(Activation, SearchableExcludesIdentity) {
 
 TEST(ActivationLayer, ForwardAppliesElementwise) {
   ActivationLayer layer(Activation::Relu, 3);
-  const tensor::Vector out = layer.forward(std::vector<double>{-1.0, 0.5, 2.0});
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.5);
-  EXPECT_DOUBLE_EQ(out[2], 2.0);
+  const tensor::Matrix out =
+      layer.forward_batch(tensor::Matrix{{-1.0, 0.5, 2.0}});
+  EXPECT_DOUBLE_EQ(out(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(out(0, 1), 0.5);
+  EXPECT_DOUBLE_EQ(out(0, 2), 2.0);
 }
 
 TEST(ActivationLayer, DimsAndParamFree) {
@@ -73,12 +74,12 @@ TEST(ActivationLayer, DimsAndParamFree) {
 
 TEST(ActivationLayer, RejectsSizeMismatch) {
   ActivationLayer layer(Activation::Relu, 2);
-  EXPECT_THROW((void)layer.forward(std::vector<double>{1.0}), Error);
+  EXPECT_THROW((void)layer.forward_batch(tensor::Matrix{{1.0}}), Error);
 }
 
 TEST(ActivationLayer, BackwardBeforeForwardThrows) {
   ActivationLayer layer(Activation::Relu, 2);
-  EXPECT_THROW((void)layer.backward(std::vector<double>{1.0, 1.0}), Error);
+  EXPECT_THROW((void)layer.backward_batch(tensor::Matrix{{1.0, 1.0}}), Error);
 }
 
 TEST(ActivationLayer, RejectsZeroDim) {

@@ -1,11 +1,14 @@
-// Bit-identity of the batched nn paths against the per-sample reference.
+// Bit-identity of the batch entries against independent per-sample
+// references.
 //
-// The batch-first refactor promises that forward_batch / backward_batch /
-// forward_batch_inference on an n-row batch equal n per-sample calls, bit
-// for bit (same operation order within each row, same accumulation order
-// across rows). These suites pin that promise for every layer type, every
-// activation, the full Mlp, the training gradient path, and the LSTM
-// batched step, at batch sizes {1, 7, 64}.
+// The batch entries (forward_batch / backward_batch /
+// forward_batch_inference) are the library's only layer implementations;
+// a single record is a 1-row batch. On an n-row batch they must equal n
+// per-sample reference computations (per_sample_reference.h, written from
+// the weights alone), bit for bit: same operation order within each row,
+// same accumulation order across rows. These suites pin that for every
+// layer type, every activation, the full Mlp and the training gradient
+// path, at batch sizes {1, 7, 64}.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,8 +17,8 @@
 #include "common/rng.h"
 #include "nn/activation.h"
 #include "nn/linear.h"
-#include "nn/lstm.h"
 #include "nn/mlp.h"
+#include "per_sample_reference.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
 
@@ -50,13 +53,13 @@ TEST(LinearBatch, ForwardBatchMatchesPerSampleBitwise) {
     Linear batched(5, 3);
     SplitRng rng(17);
     batched.init_xavier(rng);
-    Linear reference = batched;  // value copy: identical weights
 
     const tensor::Matrix input = random_batch(n, 5, 100 + n);
     const tensor::Matrix out = batched.forward_batch(input);
     ASSERT_EQ(out.rows(), n);
     for (std::size_t r = 0; r < n; ++r) {
-      expect_rows_bitwise_equal(out, reference.forward(input.row(r)), r);
+      expect_rows_bitwise_equal(
+          out, reference::linear_forward(batched, input.row(r)), r);
     }
   }
 }
@@ -72,7 +75,8 @@ TEST(LinearBatch, ForwardBatchInferenceIsConstAndBitwiseEqual) {
   const tensor::Matrix input = random_batch(7, 4, 7);
   const tensor::Matrix out = const_layer.forward_batch_inference(input);
   for (std::size_t r = 0; r < input.rows(); ++r) {
-    expect_rows_bitwise_equal(out, layer.forward(input.row(r)), r);
+    expect_rows_bitwise_equal(
+        out, reference::linear_forward(layer, input.row(r)), r);
   }
 }
 
@@ -81,17 +85,19 @@ TEST(LinearBatch, BackwardBatchGradientsMatchPerSampleBitwise) {
     Linear batched(5, 3);
     SplitRng rng(31);
     batched.init_xavier(rng);
-    Linear reference = batched;
 
     const tensor::Matrix input = random_batch(n, 5, 200 + n);
-    const tensor::Matrix grad_out = random_batch(n, 3, 300 + n);
+    tensor::Matrix grad_out = random_batch(n, 3, 300 + n);
+    grad_out(0, 1) = 0.0;  // exercise the zero-gradient skip
 
-    // Reference: per-sample forward/backward accumulation.
-    reference.zero_grad();
+    // Reference: per-sample backward accumulation.
+    tensor::Matrix ref_weight_grad(3, 5);
+    tensor::Vector ref_bias_grad(3, 0.0);
     std::vector<tensor::Vector> ref_grad_in;
     for (std::size_t r = 0; r < n; ++r) {
-      (void)reference.forward(input.row(r));
-      ref_grad_in.push_back(reference.backward(grad_out.row(r)));
+      ref_grad_in.push_back(reference::linear_backward(
+          batched.weight_span(), input.row(r), grad_out.row(r),
+          ref_weight_grad.flat(), ref_bias_grad));
     }
 
     batched.zero_grad();
@@ -102,9 +108,9 @@ TEST(LinearBatch, BackwardBatchGradientsMatchPerSampleBitwise) {
       expect_rows_bitwise_equal(grad_in, ref_grad_in[r], r);
     }
     for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(batched.bias_grad()[i], reference.bias_grad()[i]);
+      EXPECT_EQ(batched.bias_grad()[i], ref_bias_grad[i]);
       for (std::size_t j = 0; j < 5; ++j) {
-        EXPECT_EQ(batched.weight_grad()(i, j), reference.weight_grad()(i, j));
+        EXPECT_EQ(batched.weight_grad()(i, j), ref_weight_grad(i, j));
       }
     }
   }
@@ -130,16 +136,22 @@ TEST(ActivationBatch, AllKindsMatchPerSampleBitwise) {
         Activation::Tanh, Activation::Sigmoid}) {
     for (const std::size_t n : kBatchSizes) {
       ActivationLayer batched(kind, 6);
-      ActivationLayer reference(kind, 6);
       const tensor::Matrix input = random_batch(n, 6, 400 + n);
       const tensor::Matrix grad_out = random_batch(n, 6, 500 + n);
 
       const tensor::Matrix out = batched.forward_batch(input);
       const tensor::Matrix grad_in = batched.backward_batch(grad_out);
+      const tensor::Matrix inference = batched.forward_batch_inference(input);
       for (std::size_t r = 0; r < n; ++r) {
-        expect_rows_bitwise_equal(out, reference.forward(input.row(r)), r);
-        expect_rows_bitwise_equal(grad_in,
-                                  reference.backward(grad_out.row(r)), r);
+        const tensor::Vector reference_out =
+            reference::activation_forward(kind, input.row(r));
+        expect_rows_bitwise_equal(out, reference_out, r);
+        expect_rows_bitwise_equal(inference, reference_out, r);
+        expect_rows_bitwise_equal(
+            grad_in,
+            reference::activation_backward(kind, input.row(r),
+                                           grad_out.row(r)),
+            r);
       }
     }
   }
@@ -165,12 +177,13 @@ TEST(MlpBatch, ForwardBatchMatchesPerSampleBitwise) {
     Mlp mlp(head_like_spec(hidden, Activation::Sigmoid));
     SplitRng rng(41);
     mlp.init(rng);
+    const reference::MlpReference per_sample(mlp);
     for (const std::size_t n : kBatchSizes) {
       const tensor::Matrix input = random_batch(n, 16, 600 + n);
       const tensor::Matrix out = mlp.forward_batch(input);
       const tensor::Matrix inference = mlp.forward_batch_inference(input);
       for (std::size_t r = 0; r < n; ++r) {
-        const tensor::Vector reference = mlp.forward(input.row(r));
+        const tensor::Vector reference = per_sample.forward(input.row(r));
         expect_rows_bitwise_equal(out, reference, r);
         expect_rows_bitwise_equal(inference, reference, r);
         const tensor::Vector single = mlp.forward_inference(input.row(r));
@@ -188,11 +201,12 @@ TEST(MlpBatch, PredictIsConstAndMatchesForward) {
   SplitRng rng(43);
   mlp.init(rng);
   const Mlp& const_mlp = mlp;
+  const reference::MlpReference per_sample(mlp);
   const tensor::Matrix input = random_batch(7, 16, 77);
   const std::vector<std::size_t> batched = const_mlp.predict_batch(input);
   for (std::size_t r = 0; r < input.rows(); ++r) {
     EXPECT_EQ(batched[r], const_mlp.predict(input.row(r)));
-    EXPECT_EQ(batched[r], tensor::argmax(mlp.forward(input.row(r))));
+    EXPECT_EQ(batched[r], tensor::argmax(per_sample.forward(input.row(r))));
   }
 }
 
@@ -201,16 +215,16 @@ TEST(MlpBatch, BackwardBatchGradientsMatchPerSampleBitwise) {
     Mlp batched(head_like_spec(Activation::Tanh, Activation::Sigmoid));
     SplitRng rng(47);
     batched.init(rng);
-    Mlp reference = batched;
+    const reference::MlpReference per_sample(batched);
 
     const tensor::Matrix input = random_batch(n, 16, 700 + n);
     const tensor::Matrix grad_out = random_batch(n, 8, 800 + n);
 
-    reference.zero_grad();
+    reference::MlpGrads ref_grads = per_sample.zero_grads();
     std::vector<tensor::Vector> ref_grad_in;
     for (std::size_t r = 0; r < n; ++r) {
-      (void)reference.forward(input.row(r));
-      ref_grad_in.push_back(reference.backward(grad_out.row(r)));
+      ref_grad_in.push_back(per_sample.forward_backward(
+          input.row(r), grad_out.row(r), ref_grads));
     }
 
     batched.zero_grad();
@@ -221,113 +235,15 @@ TEST(MlpBatch, BackwardBatchGradientsMatchPerSampleBitwise) {
       expect_rows_bitwise_equal(grad_in, ref_grad_in[r], r);
     }
     auto batched_params = batched.params();
-    auto reference_params = reference.params();
-    ASSERT_EQ(batched_params.size(), reference_params.size());
+    ASSERT_EQ(batched_params.size(), ref_grads.size());
     for (std::size_t p = 0; p < batched_params.size(); ++p) {
-      ASSERT_EQ(batched_params[p].grad.size(),
-                reference_params[p].grad.size());
+      ASSERT_EQ(batched_params[p].grad.size(), ref_grads[p].size());
       for (std::size_t i = 0; i < batched_params[p].grad.size(); ++i) {
-        EXPECT_EQ(batched_params[p].grad[i], reference_params[p].grad[i])
+        EXPECT_EQ(batched_params[p].grad[i], ref_grads[p][i])
             << "param block " << p << " element " << i;
       }
     }
   }
-}
-
-// ------------------------------------------------------------------ LSTM
-
-TEST(LstmBatch, StepBatchMatchesPerSequenceStepBitwise) {
-  const std::size_t input_dim = 5;
-  const std::size_t hidden_dim = 9;
-  LstmCell shared(input_dim, hidden_dim);
-  SplitRng rng(53);
-  shared.init(rng);
-
-  for (const std::size_t n : kBatchSizes) {
-    // Reference: one cell per sequence, stepped independently.
-    std::vector<LstmCell> reference;
-    for (std::size_t b = 0; b < n; ++b) {
-      LstmCell cell = shared;  // value copy: same weights
-      cell.begin_sequence();
-      reference.push_back(std::move(cell));
-    }
-
-    tensor::Matrix h(n, hidden_dim);
-    tensor::Matrix c(n, hidden_dim);
-    for (std::size_t t = 0; t < 4; ++t) {
-      const tensor::Matrix inputs = random_batch(n, input_dim, 900 + 10 * n + t);
-      shared.step_batch(inputs, h, c);
-      for (std::size_t b = 0; b < n; ++b) {
-        const tensor::Vector h_ref = reference[b].step(inputs.row(b));
-        for (std::size_t j = 0; j < hidden_dim; ++j) {
-          EXPECT_EQ(h(b, j), h_ref[j]) << "t=" << t << " b=" << b;
-          EXPECT_EQ(c(b, j), reference[b].cell()[j]) << "t=" << t << " b=" << b;
-        }
-      }
-    }
-    // The shared cell's own state must be untouched (const batched step).
-    for (std::size_t j = 0; j < hidden_dim; ++j) {
-      EXPECT_DOUBLE_EQ(shared.hidden()[j], 0.0);
-      EXPECT_DOUBLE_EQ(shared.cell()[j], 0.0);
-    }
-  }
-}
-
-TEST(LstmBatch, ShapeMismatchThrows) {
-  LstmCell cell(3, 4);
-  SplitRng rng(3);
-  cell.init(rng);
-  tensor::Matrix h(2, 4);
-  tensor::Matrix c(2, 4);
-  EXPECT_THROW(cell.step_batch(tensor::Matrix(2, 2), h, c), Error);
-  tensor::Matrix h_bad(3, 4);
-  EXPECT_THROW(cell.step_batch(tensor::Matrix(2, 3), h_bad, c), Error);
-}
-
-// ----------------------------------------------------------- base Layer
-
-// A minimal layer relying on the Layer base-class batch defaults.
-class DoublingLayer final : public Layer {
- public:
-  explicit DoublingLayer(std::size_t dim) : dim_(dim) {}
-  tensor::Vector forward(std::span<const double> input) override {
-    tensor::Vector out(input.begin(), input.end());
-    for (double& v : out) v *= 2.0;
-    return out;
-  }
-  tensor::Vector backward(std::span<const double> grad) override {
-    tensor::Vector out(grad.begin(), grad.end());
-    for (double& v : out) v *= 2.0;
-    return out;
-  }
-  [[nodiscard]] tensor::Vector forward_inference(
-      std::span<const double> input) const override {
-    tensor::Vector out(input.begin(), input.end());
-    for (double& v : out) v *= 2.0;
-    return out;
-  }
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<DoublingLayer>(dim_);
-  }
-  [[nodiscard]] std::size_t input_dim() const override { return dim_; }
-  [[nodiscard]] std::size_t output_dim() const override { return dim_; }
-
- private:
-  std::size_t dim_;
-};
-
-TEST(LayerBatchDefaults, ForwardLoopsRowsAndBackwardThrows) {
-  DoublingLayer layer(3);
-  const tensor::Matrix input = random_batch(4, 3, 99);
-  const tensor::Matrix out = layer.forward_batch(input);
-  const tensor::Matrix inference = layer.forward_batch_inference(input);
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(out(r, c), input(r, c) * 2.0);
-      EXPECT_EQ(inference(r, c), input(r, c) * 2.0);
-    }
-  }
-  EXPECT_THROW((void)layer.backward_batch(out), Error);
 }
 
 }  // namespace

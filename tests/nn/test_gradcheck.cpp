@@ -1,7 +1,11 @@
 // Numerical gradient verification: for every differentiable component, the
-// analytic backward pass must match central finite differences.
+// analytic backward pass must match central finite differences. The layers
+// are checked through their batch entries (forward_batch / backward_batch),
+// the only implementation they have, on multi-row batches so the
+// accumulation across rows is checked too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <ostream>
@@ -30,42 +34,58 @@ struct Reducer {
   [[nodiscard]] double operator()(std::span<const double> y) const {
     return tensor::dot(coeffs, y);
   }
+  /// dL/dY for a (rows x cols) output: the coefficients, row-major.
+  [[nodiscard]] tensor::Matrix grad(std::size_t rows, std::size_t cols) const {
+    tensor::Matrix g(rows, cols);
+    std::copy(coeffs.begin(), coeffs.end(), g.flat().begin());
+    return g;
+  }
 };
+
+constexpr std::size_t kRows = 3;
+
+tensor::Matrix random_input(std::size_t rows, std::size_t cols, SplitRng& rng,
+                            double shift = 0.0) {
+  tensor::Matrix input(rows, cols);
+  for (double& v : input.flat()) v = rng.normal() + shift;
+  return input;
+}
 
 TEST(GradCheck, LinearWeightsBiasAndInput) {
   SplitRng rng(1);
   Linear layer(4, 3);
   layer.init_xavier(rng);
-  tensor::Vector input(4);
-  for (double& v : input) v = rng.normal();
-  Reducer reduce(3, rng);
+  tensor::Matrix input = random_input(kRows, 4, rng);
+  Reducer reduce(kRows * 3, rng);
+  const auto loss = [&] { return reduce(layer.forward_batch(input).flat()); };
 
   layer.zero_grad();
-  (void)layer.forward(input);
-  const tensor::Vector grad_input = layer.backward(reduce.coeffs);
+  (void)layer.forward_batch(input);
+  const tensor::Matrix grad_input = layer.backward_batch(reduce.grad(kRows, 3));
 
-  // Parameter gradients.
+  // Parameter gradients (summed over the batch rows).
   auto params = layer.params();
   for (auto& view : params) {
     for (std::size_t i = 0; i < view.value.size(); ++i) {
       const double saved = view.value[i];
       view.value[i] = saved + kEps;
-      const double up = reduce(layer.forward(input));
+      const double up = loss();
       view.value[i] = saved - kEps;
-      const double down = reduce(layer.forward(input));
+      const double down = loss();
       view.value[i] = saved;
       EXPECT_NEAR(view.grad[i], (up - down) / (2 * kEps), kTol);
     }
   }
   // Input gradient.
   for (std::size_t i = 0; i < input.size(); ++i) {
-    const double saved = input[i];
-    input[i] = saved + kEps;
-    const double up = reduce(layer.forward(input));
-    input[i] = saved - kEps;
-    const double down = reduce(layer.forward(input));
-    input[i] = saved;
-    EXPECT_NEAR(grad_input[i], (up - down) / (2 * kEps), kTol);
+    double& x = input.flat()[i];
+    const double saved = x;
+    x = saved + kEps;
+    const double up = loss();
+    x = saved - kEps;
+    const double down = loss();
+    x = saved;
+    EXPECT_NEAR(grad_input.flat()[i], (up - down) / (2 * kEps), kTol);
   }
 }
 
@@ -74,20 +94,22 @@ class ActivationGradCheck : public ::testing::TestWithParam<Activation> {};
 TEST_P(ActivationGradCheck, MatchesNumerical) {
   SplitRng rng(2);
   ActivationLayer layer(GetParam(), 5);
-  tensor::Vector input(5);
-  for (double& v : input) v = rng.normal() + 0.05;  // avoid ReLU kink at 0
-  Reducer reduce(5, rng);
-  (void)layer.forward(input);
-  const tensor::Vector grad_input = layer.backward(reduce.coeffs);
+  // Shifted off 0 to avoid the ReLU kink.
+  tensor::Matrix input = random_input(kRows, 5, rng, 0.05);
+  Reducer reduce(kRows * 5, rng);
+  const auto loss = [&] { return reduce(layer.forward_batch(input).flat()); };
+  (void)layer.forward_batch(input);
+  const tensor::Matrix grad_input = layer.backward_batch(reduce.grad(kRows, 5));
   for (std::size_t i = 0; i < input.size(); ++i) {
-    const double saved = input[i];
-    input[i] = saved + kEps;
-    const double up = reduce(layer.forward(input));
-    input[i] = saved - kEps;
-    const double down = reduce(layer.forward(input));
-    input[i] = saved;
-    EXPECT_NEAR(grad_input[i], (up - down) / (2 * kEps), kTol)
-        << to_string(GetParam()) << " dim " << i;
+    double& x = input.flat()[i];
+    const double saved = x;
+    x = saved + kEps;
+    const double up = loss();
+    x = saved - kEps;
+    const double down = loss();
+    x = saved;
+    EXPECT_NEAR(grad_input.flat()[i], (up - down) / (2 * kEps), kTol)
+        << to_string(GetParam()) << " element " << i;
   }
 }
 
@@ -127,15 +149,27 @@ TEST_P(MlpGradCheck, EndToEndParameterGradients) {
   Mlp mlp(spec);
   mlp.init(rng);
 
-  tensor::Vector input(6);
-  for (double& v : input) v = rng.normal();
-  const tensor::Vector target = tensor::one_hot(1, 4);
+  const tensor::Matrix input = random_input(kRows, 6, rng);
   const WeightedMse loss;
   const double weight = 1.7;
+  // Row r's target class is r: the batch loss sums the per-row losses.
+  const auto batch_loss = [&](const tensor::Matrix& out) {
+    double total = 0.0;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      total += loss.value(out.row(r), tensor::one_hot(r, 4), weight);
+    }
+    return total;
+  };
 
   mlp.zero_grad();
-  const tensor::Vector out = mlp.forward(input);
-  mlp.backward(loss.gradient(out, target, weight));
+  const tensor::Matrix out = mlp.forward_batch(input);
+  tensor::Matrix grad_out(kRows, 4);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const tensor::Vector g =
+        loss.gradient(out.row(r), tensor::one_hot(r, 4), weight);
+    std::copy(g.begin(), g.end(), grad_out.row(r).begin());
+  }
+  mlp.backward_batch(grad_out);
 
   auto params = mlp.params();
   // Check a deterministic subset of parameters (full check is O(P^2)).
@@ -144,9 +178,9 @@ TEST_P(MlpGradCheck, EndToEndParameterGradients) {
     for (std::size_t i = 0; i < view.value.size(); i += stride) {
       const double saved = view.value[i];
       view.value[i] = saved + kEps;
-      const double up = loss.value(mlp.forward(input), target, weight);
+      const double up = batch_loss(mlp.forward_batch(input));
       view.value[i] = saved - kEps;
-      const double down = loss.value(mlp.forward(input), target, weight);
+      const double down = batch_loss(mlp.forward_batch(input));
       view.value[i] = saved;
       EXPECT_NEAR(view.grad[i], (up - down) / (2 * kEps), kTol);
     }

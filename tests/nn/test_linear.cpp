@@ -10,13 +10,18 @@
 namespace muffin::nn {
 namespace {
 
+/// One sample as a 1-row batch.
+tensor::Matrix row(std::initializer_list<double> values) {
+  return tensor::Matrix{values};
+}
+
 TEST(Linear, ForwardComputesAffineMap) {
   Linear layer(2, 2);
   layer.weights() = tensor::Matrix{{1.0, 2.0}, {3.0, 4.0}};
   layer.bias() = {0.5, -0.5};
-  const tensor::Vector out = layer.forward(std::vector<double>{1.0, 1.0});
-  EXPECT_DOUBLE_EQ(out[0], 3.5);
-  EXPECT_DOUBLE_EQ(out[1], 6.5);
+  const tensor::Matrix out = layer.forward_batch(row({1.0, 1.0}));
+  EXPECT_DOUBLE_EQ(out(0, 0), 3.5);
+  EXPECT_DOUBLE_EQ(out(0, 1), 6.5);
 }
 
 TEST(Linear, Dimensions) {
@@ -33,12 +38,12 @@ TEST(Linear, RejectsZeroDims) {
 
 TEST(Linear, InputSizeMismatchThrows) {
   Linear layer(3, 2);
-  EXPECT_THROW((void)layer.forward(std::vector<double>{1.0, 2.0}), Error);
+  EXPECT_THROW((void)layer.forward_batch(row({1.0, 2.0})), Error);
 }
 
 TEST(Linear, BackwardBeforeForwardThrows) {
   Linear layer(2, 2);
-  EXPECT_THROW((void)layer.backward(std::vector<double>{1.0, 1.0}), Error);
+  EXPECT_THROW((void)layer.backward_batch(row({1.0, 1.0})), Error);
 }
 
 TEST(Linear, GradientsAccumulateAcrossSamples) {
@@ -46,18 +51,18 @@ TEST(Linear, GradientsAccumulateAcrossSamples) {
   layer.weights() = tensor::Matrix{{1.0}};
   layer.bias() = {0.0};
   layer.zero_grad();
-  (void)layer.forward(std::vector<double>{2.0});
-  (void)layer.backward(std::vector<double>{1.0});
-  (void)layer.forward(std::vector<double>{3.0});
-  (void)layer.backward(std::vector<double>{1.0});
+  (void)layer.forward_batch(row({2.0}));
+  (void)layer.backward_batch(row({1.0}));
+  (void)layer.forward_batch(row({3.0}));
+  (void)layer.backward_batch(row({1.0}));
   EXPECT_DOUBLE_EQ(layer.weight_grad()(0, 0), 5.0);  // 2 + 3
   EXPECT_DOUBLE_EQ(layer.bias_grad()[0], 2.0);
 }
 
 TEST(Linear, ZeroGradClears) {
   Linear layer(1, 1);
-  (void)layer.forward(std::vector<double>{1.0});
-  (void)layer.backward(std::vector<double>{1.0});
+  (void)layer.forward_batch(row({1.0}));
+  (void)layer.backward_batch(row({1.0}));
   layer.zero_grad();
   EXPECT_DOUBLE_EQ(layer.weight_grad()(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(layer.bias_grad()[0], 0.0);

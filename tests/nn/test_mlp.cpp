@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.h"
@@ -17,6 +18,14 @@ MlpSpec paper_spec() {
   spec.hidden_dims = {18, 12};
   spec.output_dim = 8;
   return spec;
+}
+
+/// One sample through the training forward, as a 1-row batch.
+tensor::Vector forward_one(Mlp& mlp, std::span<const double> input) {
+  tensor::Matrix batch(1, input.size());
+  std::copy(input.begin(), input.end(), batch.row(0).begin());
+  const tensor::Matrix out = mlp.forward_batch(batch);
+  return tensor::Vector(out.row(0).begin(), out.row(0).end());
 }
 
 TEST(MlpSpec, ToStringMatchesPaperNotation) {
@@ -54,7 +63,7 @@ TEST(Mlp, ForwardShapeAndRange) {
   Mlp mlp(paper_spec());
   mlp.init(rng);
   tensor::Vector input(16, 0.25);
-  const tensor::Vector out = mlp.forward(input);
+  const tensor::Vector out = forward_one(mlp, input);
   ASSERT_EQ(out.size(), 8u);
   for (const double v : out) {
     EXPECT_GE(v, 0.0);  // sigmoid output
@@ -64,15 +73,15 @@ TEST(Mlp, ForwardShapeAndRange) {
 
 TEST(Mlp, ForwardRejectsWrongWidth) {
   Mlp mlp(paper_spec());
-  EXPECT_THROW((void)mlp.forward(tensor::Vector(15, 0.0)), Error);
+  EXPECT_THROW((void)mlp.forward_batch(tensor::Matrix(1, 15)), Error);
 }
 
 TEST(Mlp, BackwardRejectsWrongWidth) {
   SplitRng rng(1);
   Mlp mlp(paper_spec());
   mlp.init(rng);
-  (void)mlp.forward(tensor::Vector(16, 0.1));
-  EXPECT_THROW((void)mlp.backward(tensor::Vector(7, 0.0)), Error);
+  (void)mlp.forward_batch(tensor::Matrix(1, 16, 0.1));
+  EXPECT_THROW((void)mlp.backward_batch(tensor::Matrix(1, 7)), Error);
 }
 
 TEST(Mlp, DeterministicGivenSeed) {
@@ -85,8 +94,8 @@ TEST(Mlp, DeterministicGivenSeed) {
   tensor::Vector input(16);
   SplitRng input_rng(3);
   for (double& v : input) v = input_rng.normal();
-  const tensor::Vector ya = a.forward(input);
-  const tensor::Vector yb = b.forward(input);
+  const tensor::Vector ya = forward_one(a, input);
+  const tensor::Vector yb = forward_one(b, input);
   for (std::size_t i = 0; i < ya.size(); ++i) {
     EXPECT_DOUBLE_EQ(ya[i], yb[i]);
   }
@@ -98,7 +107,7 @@ TEST(Mlp, PredictIsArgmaxOfForward) {
   mlp.init(rng);
   tensor::Vector input(16);
   for (double& v : input) v = rng.normal();
-  EXPECT_EQ(mlp.predict(input), tensor::argmax(mlp.forward(input)));
+  EXPECT_EQ(mlp.predict(input), tensor::argmax(forward_one(mlp, input)));
 }
 
 TEST(Mlp, IdentityOutputActivationUnbounded) {
@@ -109,7 +118,7 @@ TEST(Mlp, IdentityOutputActivationUnbounded) {
   mlp.init(rng);
   // Push big inputs; identity output can exceed 1.
   tensor::Vector input(16, 10.0);
-  const tensor::Vector out = mlp.forward(input);
+  const tensor::Vector out = forward_one(mlp, input);
   bool outside_unit = false;
   for (const double v : out) {
     if (v < 0.0 || v > 1.0) outside_unit = true;
@@ -131,8 +140,8 @@ TEST(Mlp, SaveLoadRoundTrip) {
 
   tensor::Vector input(16);
   for (double& v : input) v = rng.normal();
-  const tensor::Vector ya = original.forward(input);
-  const tensor::Vector yb = loaded.forward(input);
+  const tensor::Vector ya = forward_one(original, input);
+  const tensor::Vector yb = forward_one(loaded, input);
   for (std::size_t i = 0; i < ya.size(); ++i) {
     EXPECT_DOUBLE_EQ(ya[i], yb[i]);
   }
@@ -148,8 +157,8 @@ TEST(Mlp, ZeroGradResetsAllBlocks) {
   Mlp mlp(paper_spec());
   mlp.init(rng);
   tensor::Vector input(16, 0.3);
-  (void)mlp.forward(input);
-  (void)mlp.backward(tensor::Vector(8, 1.0));
+  (void)forward_one(mlp, input);
+  (void)mlp.backward_batch(tensor::Matrix(1, 8, 1.0));
   mlp.zero_grad();
   for (auto& view : mlp.params()) {
     for (const double g : view.grad) EXPECT_DOUBLE_EQ(g, 0.0);

@@ -90,7 +90,6 @@ TEST(MlpArtifact, MappedHeadIsFrozenButScoresExactly) {
   EXPECT_EQ(single.size(), 8u);
 
   // Every training entry point throws on a frozen network.
-  EXPECT_THROW((void)mapped.forward(batch.row(0)), Error);
   EXPECT_THROW((void)mapped.forward_batch(batch), Error);
   EXPECT_THROW((void)mapped.params(), Error);
   SplitRng rng(8);

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/error.h"
+#include "tensor/quant.h"
 
 namespace muffin::rl {
 namespace {
@@ -70,6 +71,50 @@ TEST(Controller, DeterministicGivenSeeds) {
   SplitRng rng_b(5);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(a.sample(rng_a).tokens, b.sample(rng_b).tokens);
+  }
+}
+
+TEST(Controller, SamplingAndUpdateIgnoreQuantMode) {
+  // The step heads are trained, never served: MUFFIN_QUANT selects the
+  // quantized inference kernels, and it must not reach a search. One
+  // controller runs in the float mode, its twin under bf16 and then int8;
+  // every sampled token and log-probability must match bit for bit across
+  // several sample + update rounds.
+  RnnController reference(small_space(), small_config());
+  RnnController quantized(small_space(), small_config());
+  SplitRng rng_reference(21);
+  SplitRng rng_quantized(21);
+  const auto reward = [](const std::vector<std::size_t>& tokens) {
+    return tokens[0] == 0 ? 1.0 : 0.1 * static_cast<double>(tokens.back());
+  };
+  const auto round = [&](RnnController& controller, SplitRng& rng,
+                         std::vector<SampledStructure>& sampled) {
+    std::vector<EpisodeResult> episodes;
+    for (int i = 0; i < 4; ++i) {
+      sampled.push_back(controller.sample(rng));
+      const std::vector<std::size_t>& tokens = sampled.back().tokens;
+      episodes.push_back({tokens, reward(tokens)});
+    }
+    (void)controller.update(episodes);
+  };
+  for (const tensor::QuantMode mode :
+       {tensor::QuantMode::Bf16, tensor::QuantMode::Bf16,
+        tensor::QuantMode::Int8, tensor::QuantMode::Int8}) {
+    std::vector<SampledStructure> expected;
+    std::vector<SampledStructure> got;
+    {
+      const tensor::ScopedQuantMode pin(tensor::QuantMode::Off);
+      round(reference, rng_reference, expected);
+    }
+    {
+      const tensor::ScopedQuantMode pin(mode);
+      round(quantized, rng_quantized, got);
+    }
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].tokens, expected[i].tokens);
+      EXPECT_EQ(got[i].log_prob, expected[i].log_prob);  // bitwise
+    }
   }
 }
 
