@@ -84,10 +84,10 @@ ActivationLayer::ActivationLayer(Activation kind, std::size_t dim)
   MUFFIN_REQUIRE(dim > 0, "activation layer dimension must be positive");
 }
 
-tensor::Matrix ActivationLayer::forward_batch(const tensor::Matrix& input) {
-  MUFFIN_REQUIRE(input.cols() == dim_, "activation batch input size mismatch");
-  last_batch_input_ = input;
-  return forward_batch_inference(input);
+const tensor::Matrix& ActivationLayer::forward_batch(
+    const tensor::Matrix& input) {
+  forward_batch_inference_into(input, output_);
+  return output_;
 }
 
 void ActivationLayer::forward_batch_inference_into(
@@ -123,47 +123,45 @@ void ActivationLayer::forward_batch_inference_into(
   }
 }
 
-tensor::Matrix ActivationLayer::backward_batch(
+const tensor::Matrix& ActivationLayer::backward_batch(
     const tensor::Matrix& grad_output) {
   MUFFIN_REQUIRE(grad_output.cols() == dim_,
                  "activation batch gradient size mismatch");
-  MUFFIN_REQUIRE(last_batch_input_.rows() == grad_output.rows() &&
-                     last_batch_input_.cols() == dim_,
+  MUFFIN_REQUIRE(output_.rows() == grad_output.rows() &&
+                     output_.cols() == dim_,
                  "batched backward called before forward_batch");
-  tensor::Matrix grad_in;
-  grad_in.resize_for_overwrite(grad_output.rows(), dim_);
+  grad_input_.resize_for_overwrite(grad_output.rows(), dim_);
   const auto g = grad_output.flat();
-  const auto x = last_batch_input_.flat();
-  auto out = grad_in.flat();
-  // Same per-element arithmetic as activate_grad(), switch hoisted.
+  const auto y = output_.flat();
+  auto out = grad_input_.flat();
+  // activate_grad()'s per-element arithmetic with the activation value
+  // read from y instead of recomputed from x; switch hoisted.
   switch (kind_) {
     case Activation::Identity:
       std::copy(g.begin(), g.end(), out.begin());
       break;
     case Activation::Relu:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        out[i] = g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
+        out[i] = g[i] * (y[i] > 0.0 ? 1.0 : 0.0);
       }
       break;
     case Activation::LeakyRelu:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        out[i] = g[i] * (x[i] > 0.0 ? 1.0 : kLeakySlope);
+        out[i] = g[i] * (y[i] > 0.0 ? 1.0 : kLeakySlope);
       }
       break;
     case Activation::Tanh:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        const double t = std::tanh(x[i]);
-        out[i] = g[i] * (1.0 - t * t);
+        out[i] = g[i] * (1.0 - y[i] * y[i]);
       }
       break;
     case Activation::Sigmoid:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        const double s = 1.0 / (1.0 + std::exp(-x[i]));
-        out[i] = g[i] * (s * (1.0 - s));
+        out[i] = g[i] * (y[i] * (1.0 - y[i]));
       }
       break;
   }
-  return grad_in;
+  return grad_input_;
 }
 
 }  // namespace muffin::nn

@@ -29,8 +29,12 @@ class ActivationLayer final : public Layer {
  public:
   ActivationLayer(Activation kind, std::size_t dim);
 
-  tensor::Matrix forward_batch(const tensor::Matrix& input) override;
-  tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
+  const tensor::Matrix& forward_batch(const tensor::Matrix& input) override;
+  /// Reads the derivative from the cached output y rather than the input:
+  /// y > 0 exactly where x > 0 for (leaky) ReLU, 1 - y*y for Tanh and
+  /// y*(1 - y) for Sigmoid, the same expressions activate_grad() forms.
+  const tensor::Matrix& backward_batch(
+      const tensor::Matrix& grad_output) override;
   void forward_batch_inference_into(const tensor::Matrix& input,
                                     tensor::Matrix& output) const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -43,7 +47,8 @@ class ActivationLayer final : public Layer {
  private:
   Activation kind_;
   std::size_t dim_;
-  tensor::Matrix last_batch_input_;  ///< forward_batch cache for backward
+  tensor::Matrix output_;      ///< forward_batch's result, read by backward
+  tensor::Matrix grad_input_;  ///< backward_batch's result
 };
 
 }  // namespace muffin::nn

@@ -7,6 +7,10 @@
 // A single record is a 1-row batch. Each row's arithmetic is independent
 // of the other rows, so an n-row batch equals n 1-row calls bit for bit;
 // the per-sample reference loops that pin this live in tests/nn.
+//
+// The training entries return references into workspaces the layer owns
+// and reuses from one batch to the next, so a training step allocates
+// only while a batch is larger than every batch before it.
 #pragma once
 
 #include <memory>
@@ -30,13 +34,18 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Forward pass for a batch (one sample per row). Caches what
-  /// backward_batch needs. Never quantizes.
-  virtual tensor::Matrix forward_batch(const tensor::Matrix& input) = 0;
+  /// backward_batch needs. Never quantizes. The returned matrix is this
+  /// layer's output workspace: the reference stays valid, and its
+  /// contents unchanged, until this layer's next forward_batch call.
+  virtual const tensor::Matrix& forward_batch(const tensor::Matrix& input) = 0;
 
   /// Batched backward: given dLoss/dOutput rows, accumulate parameter
   /// gradients (summed over rows in ascending row order) and return
-  /// dLoss/dInput rows. Must follow forward_batch on the same batch.
-  virtual tensor::Matrix backward_batch(const tensor::Matrix& grad_output) = 0;
+  /// dLoss/dInput rows. Must follow forward_batch on the same batch. The
+  /// returned matrix is this layer's input-gradient workspace: valid
+  /// until this layer's next backward_batch call.
+  virtual const tensor::Matrix& backward_batch(
+      const tensor::Matrix& grad_output) = 0;
 
   /// Const, cache-free batched forward (inference only; no backward may
   /// follow) writing into caller-owned storage, so a chain of layers (Mlp)

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace muffin::nn {
 
@@ -50,7 +51,7 @@ Linear& Linear::operator=(const Linear& other) {
   bias_ = other.bias_;
   weight_grad_ = other.weight_grad_;
   bias_grad_ = other.bias_grad_;
-  last_batch_input_ = tensor::Matrix();
+  work_ = Workspace{};
   mapped_weights_ = other.mapped_weights_;
   mapped_bias_ = other.mapped_bias_;
   keepalive_ = other.keepalive_;
@@ -100,7 +101,7 @@ void Linear::adopt_weights(const double* weights, const double* bias,
   weight_grad_ = tensor::Matrix();
   bias_grad_.clear();
   bias_grad_.shrink_to_fit();
-  last_batch_input_ = tensor::Matrix();
+  work_ = Workspace{};
   invalidate_pack();
 }
 
@@ -121,17 +122,18 @@ void Linear::init_he(SplitRng& rng) {
   invalidate_pack();
 }
 
-tensor::Matrix Linear::forward_batch(const tensor::Matrix& input) {
+const tensor::Matrix& Linear::forward_batch(const tensor::Matrix& input) {
   require_trainable("forward_batch");
   MUFFIN_REQUIRE(input.cols() == in_dim_, "linear batch input size mismatch");
   // The optimizer writes weights through ParamViews handed out before the
   // epoch loop, so a stale pack cannot be detected at the mutation site;
   // dropping it on every training forward keeps fit-then-serve correct.
   invalidate_pack();
-  last_batch_input_ = input;
-  tensor::Matrix out;
-  tensor::matmul_transposed_b_bias_into(input, weights_, bias_, out);
-  return out;
+  work_.input = input;
+  // Read the cached copy, so an input that aliases work_.output is safe.
+  tensor::matmul_transposed_b_bias_into(work_.input, weights_, bias_,
+                                        work_.output);
+  return work_.output;
 }
 
 void Linear::forward_batch_inference_into(const tensor::Matrix& input,
@@ -148,44 +150,37 @@ void Linear::forward_batch_inference_into(const tensor::Matrix& input,
                                         bias_span(), output);
 }
 
-tensor::Matrix Linear::backward_batch(const tensor::Matrix& grad_output) {
+void Linear::accumulate_grads(const tensor::Matrix& grad_output) {
   require_trainable("backward_batch");
   MUFFIN_REQUIRE(grad_output.cols() == out_dim_,
                  "linear batch gradient size mismatch");
-  MUFFIN_REQUIRE(last_batch_input_.rows() == grad_output.rows() &&
-                     last_batch_input_.cols() == in_dim_,
+  MUFFIN_REQUIRE(work_.input.rows() == grad_output.rows() &&
+                     work_.input.cols() == in_dim_,
                  "batched backward called before forward_batch");
   const std::size_t n = grad_output.rows();
-  // Parameter gradients: rows accumulate in ascending sample order, so a
-  // batch gives the same bits as the same rows fed one at a time.
+  tensor::Matrix& grad_t = work_.grad_t;
+  grad_t.resize_for_overwrite(out_dim_, n);
   for (std::size_t r = 0; r < n; ++r) {
     const auto g = grad_output.row(r);
-    const auto x = last_batch_input_.row(r);
     for (std::size_t i = 0; i < out_dim_; ++i) {
       bias_grad_[i] += g[i];
-      const double gi = g[i];
-      if (gi == 0.0) continue;
-      for (std::size_t j = 0; j < in_dim_; ++j) {
-        weight_grad_(i, j) += gi * x[j];
-      }
+      grad_t(i, r) = g[i];
     }
   }
-  // Input gradients: G W row by row, i-ascending accumulation with zero
-  // gradients skipped (the tensor::matvec_transposed order).
-  tensor::Matrix grad_input(n, in_dim_);
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto g = grad_output.row(r);
-    auto out_row = grad_input.row(r);
-    for (std::size_t i = 0; i < out_dim_; ++i) {
-      const double gi = g[i];
-      if (gi == 0.0) continue;
-      const auto w_row = weights_.row(i);
-      for (std::size_t j = 0; j < in_dim_; ++j) {
-        out_row[j] += w_row[j] * gi;
-      }
-    }
-  }
-  return grad_input;
+  // weight_grad += G^T X: the matmul kernel adds a(i, r) * x(r, j) into
+  // each element over ascending r and skips a(i, r) == 0, so a batch
+  // gives the same bits as the same rows fed one at a time.
+  tensor::detail::active_kernels().matmul(
+      grad_t.flat().data(), grad_t.stride(), work_.input.flat().data(),
+      work_.input.stride(), weight_grad_.flat().data(), weight_grad_.stride(),
+      out_dim_, n, in_dim_);
+}
+
+const tensor::Matrix& Linear::backward_batch(
+    const tensor::Matrix& grad_output) {
+  accumulate_grads(grad_output);
+  tensor::matmul_into(grad_output, weights_, work_.grad_input);
+  return work_.grad_input;
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

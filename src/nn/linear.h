@@ -62,11 +62,18 @@ class Linear final : public Layer {
   /// X W^T + b as one GEMM (tall-skinny X against the row-major weights);
   /// each output element accumulates its dot product in ascending input
   /// order and adds the bias last.
-  tensor::Matrix forward_batch(const tensor::Matrix& input) override;
-  /// Accumulates weight/bias gradients over the batch (G^T X, rows in
-  /// ascending order, zero gradients skipped) and returns the input
-  /// gradients (G W, output index ascending, zero gradients skipped).
-  tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
+  const tensor::Matrix& forward_batch(const tensor::Matrix& input) override;
+  /// accumulate_grads, then the input gradients G W as one GEMM: each
+  /// element accumulates W(i, j) * g(r, i) over ascending output index i
+  /// from 0.0, skipping zero gradients.
+  const tensor::Matrix& backward_batch(
+      const tensor::Matrix& grad_output) override;
+  /// The parameter half of backward_batch, for a layer whose input
+  /// gradient nobody reads (an Mlp's first layer): bias gradients add
+  /// g(r, i) and weight gradients g(r, i) * x(r, j) over ascending rows r,
+  /// the weight term skipped where g(r, i) is zero. The weight gradient
+  /// G^T X runs as one GEMM accumulating into the gradient buffer.
+  void accumulate_grads(const tensor::Matrix& grad_output);
   void forward_batch_inference_into(const tensor::Matrix& input,
                                     tensor::Matrix& output) const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -115,7 +122,15 @@ class Linear final : public Layer {
   tensor::Vector bias_;
   tensor::Matrix weight_grad_;
   tensor::Vector bias_grad_;
-  tensor::Matrix last_batch_input_;  ///< forward_batch cache for backward
+
+  /// Training workspaces, reused across batches; never copied.
+  struct Workspace {
+    tensor::Matrix input;       ///< forward_batch's input, for backward
+    tensor::Matrix output;      ///< forward_batch's result
+    tensor::Matrix grad_t;      ///< G^T, the weight-gradient GEMM's A
+    tensor::Matrix grad_input;  ///< backward_batch's result
+  };
+  Workspace work_;
 
   const double* mapped_weights_ = nullptr;
   const double* mapped_bias_ = nullptr;

@@ -13,6 +13,12 @@ void require_shapes(std::span<const double> prediction,
   MUFFIN_REQUIRE(prediction.size() == target.size() && !prediction.empty(),
                  "loss requires matching non-empty prediction/target");
 }
+void require_shapes(std::span<const double> prediction,
+                    std::span<const double> target, std::span<double> out) {
+  require_shapes(prediction, target);
+  MUFFIN_REQUIRE(out.size() == prediction.size(),
+                 "loss gradient output must match the prediction size");
+}
 }  // namespace
 
 double WeightedMse::value(std::span<const double> prediction,
@@ -27,16 +33,14 @@ double WeightedMse::value(std::span<const double> prediction,
   return weight * acc / static_cast<double>(prediction.size());
 }
 
-tensor::Vector WeightedMse::gradient(std::span<const double> prediction,
-                                     std::span<const double> target,
-                                     double weight) const {
-  require_shapes(prediction, target);
+void WeightedMse::gradient_into(std::span<const double> prediction,
+                                std::span<const double> target, double weight,
+                                std::span<double> out) const {
+  require_shapes(prediction, target, out);
   const double scale = 2.0 * weight / static_cast<double>(prediction.size());
-  tensor::Vector grad(prediction.size());
   for (std::size_t i = 0; i < prediction.size(); ++i) {
-    grad[i] = scale * (prediction[i] - target[i]);
+    out[i] = scale * (prediction[i] - target[i]);
   }
-  return grad;
 }
 
 double WeightedCrossEntropy::value(std::span<const double> prediction,
@@ -52,17 +56,15 @@ double WeightedCrossEntropy::value(std::span<const double> prediction,
   return weight * acc;
 }
 
-tensor::Vector WeightedCrossEntropy::gradient(
-    std::span<const double> prediction, std::span<const double> target,
-    double weight) const {
-  require_shapes(prediction, target);
-  tensor::Vector grad(prediction.size(), 0.0);
+void WeightedCrossEntropy::gradient_into(std::span<const double> prediction,
+                                         std::span<const double> target,
+                                         double weight,
+                                         std::span<double> out) const {
+  require_shapes(prediction, target, out);
   for (std::size_t i = 0; i < prediction.size(); ++i) {
-    if (target[i] != 0.0) {
-      grad[i] = -weight * target[i] / (prediction[i] + kEps);
-    }
+    out[i] = target[i] != 0.0 ? -weight * target[i] / (prediction[i] + kEps)
+                              : 0.0;
   }
-  return grad;
 }
 
 }  // namespace muffin::nn

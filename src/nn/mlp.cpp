@@ -91,28 +91,25 @@ void Mlp::init(SplitRng& rng) {
   }
 }
 
-tensor::Matrix Mlp::forward_batch(const tensor::Matrix& input) {
+const tensor::Matrix& Mlp::forward_batch(const tensor::Matrix& input) {
   MUFFIN_REQUIRE(input.cols() == spec_.input_dim,
                  "MLP batch input size mismatch");
-  // The first layer copies its input into its cache anyway, so feed it the
-  // caller's batch directly instead of an up-front deep copy.
-  const tensor::Matrix* source = &input;
-  tensor::Matrix current;
-  for (const auto& layer : layers_) {
-    current = layer->forward_batch(*source);
-    source = &current;
-  }
-  return current;
+  // Each layer reads the previous layer's output workspace in place.
+  const tensor::Matrix* current = &input;
+  for (const auto& layer : layers_) current = &layer->forward_batch(*current);
+  return *current;
 }
 
-tensor::Matrix Mlp::backward_batch(const tensor::Matrix& grad_output) {
+void Mlp::backward_batch(const tensor::Matrix& grad_output) {
   MUFFIN_REQUIRE(grad_output.cols() == spec_.output_dim,
                  "MLP batch gradient size mismatch");
-  tensor::Matrix current = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    current = (*it)->backward_batch(current);
+  const tensor::Matrix* current = &grad_output;
+  for (std::size_t l = layers_.size() - 1; l > 0; --l) {
+    current = &layers_[l]->backward_batch(*current);
   }
-  return current;
+  // The constructor always puts a Linear first; its input gradient would
+  // be the network's, which no caller reads.
+  static_cast<Linear&>(*layers_.front()).accumulate_grads(*current);
 }
 
 tensor::Matrix Mlp::forward_batch_inference(const tensor::Matrix& input) const {

@@ -54,11 +54,13 @@ class Mlp {
   void init(SplitRng& rng);
 
   /// Batched forward (one sample per row); caches per-layer activations for
-  /// backward_batch. Never quantizes.
-  tensor::Matrix forward_batch(const tensor::Matrix& input);
+  /// backward_batch. Never quantizes. The result is the last layer's
+  /// output workspace, valid until the next forward_batch.
+  const tensor::Matrix& forward_batch(const tensor::Matrix& input);
   /// Batched backward; accumulates parameter gradients (summed in ascending
-  /// row order) and returns input gradients.
-  tensor::Matrix backward_batch(const tensor::Matrix& grad_output);
+  /// row order). The network's input gradient is not computed: the first
+  /// layer accumulates its parameter gradients only.
+  void backward_batch(const tensor::Matrix& grad_output);
   /// Const, cache-free batched forward — the serving path. Follows the
   /// active quant mode; in QuantMode::Off it is bit-identical to
   /// forward_batch. Safe to call concurrently on a shared instance.

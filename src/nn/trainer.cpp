@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "tensor/ops.h"
 
 namespace muffin::nn {
 
@@ -38,9 +37,12 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
   std::iota(order.begin(), order.end(), 0);
   auto params = mlp.params();
 
-  // Scratch reused across minibatches: gathered inputs and loss gradients.
+  // Scratch reused across minibatches: gathered inputs, loss gradients and
+  // one one-hot target row. With the layers' own workspaces, a minibatch
+  // allocates nothing once the first (largest) one has sized them.
   tensor::Matrix batch_features;
   tensor::Matrix batch_grads;
+  tensor::Vector target(data.num_classes, 0.0);
 
   double epoch_loss = 0.0;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -53,27 +55,25 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
       const std::size_t batch_size = batch_end - cursor;
       mlp.zero_grad();
 
-      // Gather the minibatch into a row-major batch and run one batched
-      // forward (per-layer GEMM) instead of per-sample matvec loops.
       batch_features.resize_for_overwrite(batch_size, data.features.cols());
       for (std::size_t b = 0; b < batch_size; ++b) {
         const auto src = data.features.row(order[cursor + b]);
         std::copy(src.begin(), src.end(), batch_features.row(b).begin());
       }
-      const tensor::Matrix predictions = mlp.forward_batch(batch_features);
+      const tensor::Matrix& predictions = mlp.forward_batch(batch_features);
 
-      // Per-sample losses and gradients, in batch order — the loss itself
-      // is row-local, so this stays bit-identical to the per-sample loop.
+      // Per-sample losses and gradients, in batch order: the loss is
+      // row-local, so each row's bits do not depend on the batch.
       batch_grads.resize_for_overwrite(batch_size, data.num_classes);
       for (std::size_t b = 0; b < batch_size; ++b) {
         const std::size_t idx = order[cursor + b];
-        const tensor::Vector target =
-            tensor::one_hot(data.labels[idx], data.num_classes);
+        const std::size_t label = data.labels[idx];
         const auto prediction = predictions.row(b);
+        target[label] = 1.0;
         loss_sum += loss.value(prediction, target, data.weights[idx]);
-        const tensor::Vector grad =
-            loss.gradient(prediction, target, data.weights[idx]);
-        std::copy(grad.begin(), grad.end(), batch_grads.row(b).begin());
+        loss.gradient_into(prediction, target, data.weights[idx],
+                           batch_grads.row(b));
+        target[label] = 0.0;
       }
       mlp.backward_batch(batch_grads);
       optimizer.step(params, batch_size);

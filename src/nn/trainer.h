@@ -38,8 +38,11 @@ struct TrainerConfig {
 
 /// Runs mini-batch gradient descent of `loss` over `data`; returns the mean
 /// loss of the final epoch. Each minibatch runs as one batched
-/// forward/backward (per-layer GEMM via Mlp::forward_batch/backward_batch);
-/// gradients and trained weights are bit-identical to a per-sample loop.
+/// forward/backward (per-layer GEMM via Mlp::forward_batch/backward_batch)
+/// in workspaces reused across minibatches.
+/// Trainer.MatchesPerSampleReferenceBitwise (tests/nn/test_trainer.cpp)
+/// pins the trained weights and the returned loss against a per-sample
+/// reference loop.
 double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
              Optimizer& optimizer, const TrainerConfig& config,
              SplitRng& rng);

@@ -89,7 +89,8 @@ SampledStructure RnnController::sample(SplitRng& rng) {
     const std::size_t prev = step == 0 ? 0 : out.tokens[step - 1];
     const tensor::Vector hidden =
         lstm_.step(embeddings_.row(embedding_row(step, prev)));
-    const tensor::Matrix logits = heads_[step]->forward_batch(one_row(hidden));
+    const tensor::Matrix& logits =
+        heads_[step]->forward_batch(one_row(hidden));
     const std::vector<bool> mask = step_mask(space_, step, out.tokens);
     const tensor::Vector probs = masked_softmax(logits.row(0), mask);
     const std::size_t token =
@@ -112,7 +113,8 @@ std::vector<tensor::Vector> RnnController::replay(
     const std::size_t prev = step == 0 ? 0 : tokens[step - 1];
     const tensor::Vector hidden =
         lstm_.step(embeddings_.row(embedding_row(step, prev)));
-    const tensor::Matrix logits = heads_[step]->forward_batch(one_row(hidden));
+    const tensor::Matrix& logits =
+        heads_[step]->forward_batch(one_row(hidden));
     const std::vector<bool> mask = step_mask(space_, step, prefix);
     probs_per_step.push_back(masked_softmax(logits.row(0), mask));
     prefix.push_back(tokens[step]);
@@ -195,7 +197,7 @@ UpdateStats RnnController::update(std::span<const EpisodeResult> episodes) {
                             (std::log(pi[v]) + entropy);
         }
       }
-      const tensor::Matrix grad_h =
+      const tensor::Matrix& grad_h =
           heads_[step]->backward_batch(one_row(grad_logits));
       grad_h_per_step[step].assign(grad_h.row(0).begin(),
                                    grad_h.row(0).end());

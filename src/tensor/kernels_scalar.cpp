@@ -43,8 +43,8 @@ void matmul_scalar(const double* a, std::size_t lda, const double* b,
 /// A * B^T (+ bias) with a 2x4 register tile: two A rows against four B
 /// rows gives eight independent accumulation chains, hiding FP latency
 /// that a single dot product cannot. Every out(i, j) accumulates its k
-/// terms in ascending order and adds the bias last, so results are
-/// bit-identical to matvec-then-add-bias. `bias` may be null.
+/// terms in ascending order from 0.0 and adds the bias last, the order of
+/// an untiled per-element dot product. `bias` may be null.
 void gemm_tb_scalar(const double* a, std::size_t lda, const double* b,
                     std::size_t ldb, const double* bias, double* out,
                     std::size_t ldo, std::size_t n, std::size_t m,

@@ -53,8 +53,8 @@ namespace {
 /// (scalar 2x4 register tile, or the AVX2/AVX-512 column-vectorized kernel
 /// — see tensor/simd.h) over all rows, on the calling thread. Every
 /// out(i, j) accumulates its k terms in ascending order and adds the bias
-/// last in every backend, so results are bit-identical to
-/// matvec-then-add-bias. `bias` may be null.
+/// last in every backend, the order of an untiled per-element dot product.
+/// `bias` may be null.
 ///
 /// A single row (a record scored alone) takes the scalar kernel: the
 /// vector kernels pack B transposed on every call, and one row cannot
@@ -125,31 +125,6 @@ void matmul_transposed_b_bias_quant_into(const Matrix& a,
   kernels.gemm_tb_i8(a.flat().data(), a.stride(), b.i8_ptr(), b.m,
                      b.scales_ptr(), bias.data(), out.flat().data(),
                      out.stride(), a.rows(), b.m, b.depth);
-}
-
-Vector matvec(const Matrix& a, std::span<const double> x) {
-  MUFFIN_REQUIRE(a.cols() == x.size(), "matvec dimensions must match");
-  Vector y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double acc = 0.0;
-    const auto row = a.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) acc += row[j] * x[j];
-    y[i] = acc;
-  }
-  return y;
-}
-
-Vector matvec_transposed(const Matrix& a, std::span<const double> x) {
-  MUFFIN_REQUIRE(a.rows() == x.size(),
-                 "matvec_transposed dimensions must match");
-  Vector y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const auto row = a.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) y[j] += row[j] * xi;
-  }
-  return y;
 }
 
 Matrix transpose(const Matrix& a) {

@@ -42,8 +42,8 @@ void matmul_transposed_b_into(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// C = A * B^T + 1 * bias^T (bias broadcast over rows), the fused
 /// linear-layer forward. Each output element accumulates the row dot product
-/// first and adds the bias last, matching the per-record matvec-then-add
-/// order bit for bit. Requires bias.size() == B.rows().
+/// first (ascending k, from 0.0) and adds the bias last, so a row's bits
+/// do not depend on the batch it is in. Requires bias.size() == B.rows().
 void matmul_transposed_b_bias_into(const Matrix& a, const Matrix& b,
                                    std::span<const double> bias, Matrix& out);
 
@@ -65,13 +65,6 @@ void matmul_transposed_b_bias_quant_into(const Matrix& a,
                                          const QuantizedGemmB& b,
                                          std::span<const double> bias,
                                          Matrix& out);
-
-/// y = A * x (GEMV). Requires A.cols() == x.size().
-[[nodiscard]] Vector matvec(const Matrix& a, std::span<const double> x);
-
-/// y = A^T * x. Requires A.rows() == x.size().
-[[nodiscard]] Vector matvec_transposed(const Matrix& a,
-                                       std::span<const double> x);
 
 [[nodiscard]] Matrix transpose(const Matrix& a);
 

@@ -165,9 +165,8 @@ TEST_P(MlpGradCheck, EndToEndParameterGradients) {
   const tensor::Matrix out = mlp.forward_batch(input);
   tensor::Matrix grad_out(kRows, 4);
   for (std::size_t r = 0; r < kRows; ++r) {
-    const tensor::Vector g =
-        loss.gradient(out.row(r), tensor::one_hot(r, 4), weight);
-    std::copy(g.begin(), g.end(), grad_out.row(r).begin());
+    loss.gradient_into(out.row(r), tensor::one_hot(r, 4), weight,
+                       grad_out.row(r));
   }
   mlp.backward_batch(grad_out);
 
@@ -206,7 +205,8 @@ TEST(GradCheck, LossGradientsMatchNumerical) {
 
   for (const Loss* loss : {static_cast<const Loss*>(&mse),
                            static_cast<const Loss*>(&ce)}) {
-    const tensor::Vector grad = loss->gradient(pred, target, weight);
+    tensor::Vector grad(pred.size());
+    loss->gradient_into(pred, target, weight, grad);
     for (std::size_t i = 0; i < pred.size(); ++i) {
       const double saved = pred[i];
       pred[i] = saved + kEps;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "common/error.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "per_sample_reference.h"
+#include "tensor/ops.h"
 
 namespace muffin::nn {
 namespace {
@@ -149,6 +153,107 @@ TEST(Trainer, DeterministicGivenSeeds) {
     return train(mlp, data, loss, optimizer, config, train_rng);
   };
   EXPECT_DOUBLE_EQ(run(data_a), run(data_b));
+}
+
+/// train() rebuilt one sample at a time on the per-sample reference: the
+/// same shuffle stream, minibatch bounds, loss calls and optimizer steps,
+/// with gradients accumulated by reference::MlpReference::forward_backward
+/// and copied into the Mlp's gradient buffers before each step.
+double reference_train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
+                       Optimizer& optimizer, const TrainerConfig& config,
+                       SplitRng& rng) {
+  std::vector<std::size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  auto params = mlp.params();
+  double epoch_loss = 0.0;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    if (config.shuffle) rng.shuffle(order);
+    double loss_sum = 0.0;
+    for (std::size_t cursor = 0; cursor < order.size();
+         cursor += config.batch_size) {
+      const std::size_t end =
+          std::min(cursor + config.batch_size, order.size());
+      const reference::MlpReference per_sample(mlp);
+      reference::MlpGrads grads = per_sample.zero_grads();
+      for (std::size_t b = cursor; b < end; ++b) {
+        const std::size_t idx = order[b];
+        const auto x = data.features.row(idx);
+        const tensor::Vector target =
+            tensor::one_hot(data.labels[idx], data.num_classes);
+        const tensor::Vector prediction = per_sample.forward(x);
+        loss_sum += loss.value(prediction, target, data.weights[idx]);
+        tensor::Vector grad(data.num_classes);
+        loss.gradient_into(prediction, target, data.weights[idx], grad);
+        (void)per_sample.forward_backward(x, grad, grads);
+      }
+      for (std::size_t p = 0; p < params.size(); ++p) {
+        std::copy(grads[p].begin(), grads[p].end(), params[p].grad.begin());
+      }
+      optimizer.step(params, end - cursor);
+    }
+    epoch_loss = loss_sum / static_cast<double>(data.size());
+  }
+  return epoch_loss;
+}
+
+TEST(Trainer, MatchesPerSampleReferenceBitwise) {
+  // 301 rows in minibatches of 64: the last one (45 rows) shrinks every
+  // workspace and the next epoch's first regrows it. Every fifth sample
+  // has weight zero, so its loss gradient is zero and the backward
+  // products take their zero-skip branch.
+  SplitRng data_rng(21);
+  TrainingSet data;
+  data.num_classes = 3;
+  data.features.resize(301, 6);
+  data.labels.resize(301);
+  data.weights.resize(301);
+  for (std::size_t i = 0; i < 301; ++i) {
+    for (double& v : data.features.row(i)) v = data_rng.normal(0.0, 1.2);
+    data.labels[i] = i % 3;
+    data.weights[i] =
+        i % 5 == 0 ? 0.0 : 0.5 + 0.25 * static_cast<double>(i % 4);
+  }
+  const WeightedMse mse;
+  const WeightedCrossEntropy cross_entropy;
+  for (const Activation hidden : {Activation::Relu, Activation::Tanh}) {
+    for (const Loss* loss : {static_cast<const Loss*>(&mse),
+                             static_cast<const Loss*>(&cross_entropy)}) {
+      MlpSpec spec;
+      spec.input_dim = 6;
+      spec.hidden_dims = {10, 7};
+      spec.output_dim = 3;
+      spec.hidden_activation = hidden;
+      spec.output_activation = Activation::Sigmoid;
+      Mlp batched(spec);
+      SplitRng init_rng(22);
+      batched.init(init_rng);
+      Mlp reference = batched;
+
+      TrainerConfig config;
+      config.epochs = 3;
+      config.batch_size = 64;
+      Adam batched_adam(AdamConfig{.learning_rate = 1e-2});
+      Adam reference_adam(AdamConfig{.learning_rate = 1e-2});
+      SplitRng batched_rng(23);
+      SplitRng reference_rng(23);
+      const double batched_loss =
+          train(batched, data, *loss, batched_adam, config, batched_rng);
+      const double reference_loss = reference_train(
+          reference, data, *loss, reference_adam, config, reference_rng);
+
+      EXPECT_EQ(batched_loss, reference_loss) << to_string(hidden);
+      auto got = batched.params();
+      auto want = reference.params();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        for (std::size_t i = 0; i < got[p].value.size(); ++i) {
+          ASSERT_EQ(got[p].value[i], want[p].value[i])
+              << to_string(hidden) << " param block " << p << " element "
+              << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Trainer, RejectsMismatchedShapes) {

@@ -53,35 +53,6 @@ TEST(MatmulInto, ReusesStorage) {
   EXPECT_DOUBLE_EQ(out(0, 0), 6.0);
 }
 
-TEST(Matvec, Basic) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const Vector x = {1.0, -1.0};
-  const Vector y = matvec(a, x);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], -1.0);
-  EXPECT_DOUBLE_EQ(y[1], -1.0);
-}
-
-TEST(Matvec, SizeMismatchThrows) {
-  const Matrix a(2, 3);
-  const Vector x = {1.0, 2.0};
-  EXPECT_THROW((void)matvec(a, x), Error);
-}
-
-TEST(MatvecTransposed, MatchesExplicitTranspose) {
-  SplitRng rng(2);
-  Matrix a(3, 5);
-  for (double& v : a.flat()) v = rng.normal();
-  Vector x(3);
-  for (double& v : x) v = rng.normal();
-  const Vector fast = matvec_transposed(a, x);
-  const Vector slow = matvec(transpose(a), x);
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(fast[i], slow[i], 1e-12);
-  }
-}
-
 TEST(Transpose, Involution) {
   SplitRng rng(3);
   Matrix a(3, 4);
